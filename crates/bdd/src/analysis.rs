@@ -13,12 +13,6 @@ pub struct SatAssignment {
 }
 
 impl SatAssignment {
-    /// Wraps a per-variable value vector (used by the shared engine's
-    /// witness walks, which mirror the ones below).
-    pub(crate) fn from_values(values: Vec<Option<bool>>) -> SatAssignment {
-        SatAssignment { values }
-    }
-
     /// The value chosen for `var`, if any.
     pub fn value(&self, var: BddVar) -> Option<bool> {
         self.values.get(var.0 as usize).copied().flatten()

@@ -65,11 +65,6 @@ pub enum BudgetExceeded {
     },
     /// The wall-clock deadline passed.
     Deadline,
-    /// A thread panicked while executing part of a shared-engine parallel
-    /// operation. The panic itself is reported through the panic hook and
-    /// re-raised on the offending thread; this reason aborts the operation
-    /// so joiners fail instead of waiting on a result that never comes.
-    WorkerPanic,
 }
 
 impl std::fmt::Display for BudgetExceeded {
@@ -82,9 +77,6 @@ impl std::fmt::Display for BudgetExceeded {
                 write!(f, "BDD apply-step budget of {limit} steps exceeded")
             }
             BudgetExceeded::Deadline => write!(f, "BDD wall-clock deadline exceeded"),
-            BudgetExceeded::WorkerPanic => {
-                write!(f, "BDD operation aborted: a worker thread panicked")
-            }
         }
     }
 }
@@ -100,7 +92,6 @@ mod tests {
         assert!(BudgetExceeded::Nodes { limit: 7 }.to_string().contains("7 live nodes"));
         assert!(BudgetExceeded::Steps { limit: 9 }.to_string().contains("9 steps"));
         assert!(BudgetExceeded::Deadline.to_string().contains("deadline"));
-        assert!(BudgetExceeded::WorkerPanic.to_string().contains("panicked"));
     }
 
     #[test]

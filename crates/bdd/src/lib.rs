@@ -66,7 +66,6 @@
 //! ```
 
 mod analysis;
-mod any;
 mod apply;
 mod budget;
 mod cache;
@@ -78,10 +77,8 @@ mod manager;
 mod pool;
 mod quant;
 mod reorder;
-mod shared;
 
 pub use analysis::SatAssignment;
-pub use any::AnyManager;
 /// Re-exported from `bbec-trace`, where the telemetry types live since the
 /// observability layer was split out; the `bbec-bdd` API is unchanged.
 pub use bbec_trace::OpTelemetry;
@@ -90,7 +87,6 @@ pub use cache::{clamp_cache_bits, DEFAULT_CACHE_BITS, MAX_CACHE_BITS, MIN_CACHE_
 pub use cube::Cube;
 pub use manager::{Bdd, BddManager, BddStats, BddVar, ReorderSettings};
 pub use pool::{ManagerPool, PoolStats};
-pub use shared::{SharedConfig, SharedHandle, SharedManager};
 
 #[cfg(test)]
 mod tests {

@@ -8,8 +8,8 @@
 //! workload carrying ops/sec, peak live nodes and cache hit rate, plus a
 //! `bdd_micro_summary` record. The committed `BENCH_bdd.json` holds the
 //! before/after rows of the complement-edge rewrite; CI re-runs this
-//! binary and gates on a >25% ops/sec regression via the `perfgate`
-//! binary.
+//! binary and gates on a >25% ops/sec regression via
+//! `bbec report --compare`.
 //!
 //! ```text
 //! cargo run --release -p bbec-bench --bin bdd_micro -- \

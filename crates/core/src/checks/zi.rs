@@ -5,7 +5,7 @@ use crate::checks::{validate_interface, CheckProbe, Guard};
 use crate::partial::PartialCircuit;
 use crate::report::{CheckError, CheckOutcome, CheckSettings, Counterexample, Method, Verdict};
 use crate::symbolic::{PartialSymbolic, SymbolicContext};
-use bbec_bdd::{Bdd, BudgetExceeded};
+use bbec_bdd::{Bdd, BudgetExceeded, Cube};
 use bbec_netlist::Circuit;
 
 /// Shared preamble of the Z_i checks: both function vectors plus the
@@ -123,7 +123,7 @@ pub(crate) fn local_check_with(
 }
 
 fn local_body(s: &mut ZiSetup) -> Result<(Verdict, Option<Counterexample>), BudgetExceeded> {
-    let zcube = s.ctx.manager.try_cube(&s.sym.all_z_vars)?;
+    let zcube = Cube::try_from_vars(&mut s.ctx.manager, &s.sym.all_z_vars)?;
     s.guard.keep(s.ctx, zcube.as_bdd());
     let tracer = s.ctx.tracer().clone();
     for j in 0..s.spec_bdds.len() {
@@ -211,7 +211,7 @@ pub(crate) fn output_exact_with(
 }
 
 fn output_exact_body(s: &mut ZiSetup) -> Result<(Verdict, Option<Counterexample>), BudgetExceeded> {
-    let zcube = s.ctx.manager.try_cube(&s.sym.all_z_vars)?;
+    let zcube = Cube::try_from_vars(&mut s.ctx.manager, &s.sym.all_z_vars)?;
     s.guard.keep(s.ctx, zcube.as_bdd());
     let cond = try_joint_condition(s)?;
     // No error iff ∀X ∃Z cond — i.e. ∃Z cond is a tautology over X.
@@ -317,14 +317,14 @@ fn input_exact_body(s: &mut ZiSetup, partial: &PartialCircuit) -> Result<Verdict
         input_vars.iter().copied().filter(|v| last_use[v] == usize::MAX).collect();
     let mut acc = {
         let ncond = s.ctx.manager.try_not(cond)?;
-        let cube = s.ctx.manager.try_cube(&immediate)?;
+        let cube = Cube::try_from_vars(&mut s.ctx.manager, &immediate)?;
         let r = s.ctx.manager.try_exists(ncond, cube)?;
         s.guard.keep(s.ctx, r)
     };
     s.ctx.manager.maybe_reorder();
     for (fi, &eq) in factors.iter().enumerate() {
         let ready: Vec<_> = input_vars.iter().copied().filter(|v| last_use[v] == fi).collect();
-        let cube = s.ctx.manager.try_cube(&ready)?;
+        let cube = Cube::try_from_vars(&mut s.ctx.manager, &ready)?;
         let next = s.ctx.manager.try_and_exists(acc, eq, cube)?;
         s.guard.keep(s.ctx, next);
         s.guard.drop_one(s.ctx, acc);
@@ -341,11 +341,11 @@ fn input_exact_body(s: &mut ZiSetup, partial: &PartialCircuit) -> Result<Verdict
     s.ctx.manager.maybe_reorder();
     // ∀I_1 ∃O_1 … ∀I_b ∃O_b, applied inside-out.
     for bi in (0..partial.boxes().len()).rev() {
-        let o_cube = s.ctx.manager.try_cube(&s.sym.z_vars_by_box[bi])?;
+        let o_cube = Cube::try_from_vars(&mut s.ctx.manager, &s.sym.z_vars_by_box[bi])?;
         let after_o = s.ctx.manager.try_exists(result, o_cube)?;
         s.guard.keep(s.ctx, after_o);
         s.guard.drop_one(s.ctx, result);
-        let i_cube = s.ctx.manager.try_cube(&i_vars_by_box[bi])?;
+        let i_cube = Cube::try_from_vars(&mut s.ctx.manager, &i_vars_by_box[bi])?;
         let after_i = s.ctx.manager.try_forall(after_o, i_cube)?;
         s.guard.keep(s.ctx, after_i);
         s.guard.drop_one(s.ctx, after_o);

@@ -173,17 +173,6 @@ pub struct CheckSettings {
     /// to fresh ones, so like the tracer this does not participate in
     /// [`crate::ledger::settings_key`].
     pub pool: Option<bbec_bdd::ManagerPool>,
-    /// Worker threads for the shared-memory BDD engine. `1` (the default)
-    /// uses the classic single-threaded manager; `>= 2` switches the
-    /// symbolic context to [`bbec_bdd::SharedManager`] with this many
-    /// participants sharing one unique table and computed cache.
-    /// Verdict-invariant: BDDs are canonical, so schedules change *when*
-    /// nodes are built, never which function a root denotes — verdicts,
-    /// counterexamples and ladder rungs are bit-identical across thread
-    /// counts. Like the tracer, this does not participate in
-    /// [`crate::ledger::settings_key`]. The shared engine does not reorder
-    /// variables, so `dynamic_reordering` is ignored when it is active.
-    pub bdd_threads: usize,
 }
 
 impl Default for CheckSettings {
@@ -202,7 +191,6 @@ impl Default for CheckSettings {
             tracer: bbec_trace::Tracer::disabled(),
             progress: bbec_trace::Progress::disabled(),
             pool: None,
-            bdd_threads: 1,
         }
     }
 }

@@ -11,10 +11,7 @@
 
 use crate::partial::PartialCircuit;
 use crate::report::{CheckError, CheckSettings};
-use bbec_bdd::{
-    AnyManager, Bdd, BddManager, BddVar, Budget, ReorderSettings, SatAssignment, SharedConfig,
-    SharedManager,
-};
+use bbec_bdd::{Bdd, BddManager, BddVar, Budget, ReorderSettings, SatAssignment};
 use bbec_netlist::{Circuit, GateKind, SignalId};
 use std::time::{Duration, Instant};
 
@@ -55,7 +52,7 @@ pub struct TernarySim {
 
 impl TernarySim {
     /// Releases every protection the simulation took.
-    pub fn release(self, manager: &mut AnyManager) {
+    pub fn release(self, manager: &mut BddManager) {
         for f in self.protected {
             manager.release(f);
         }
@@ -67,9 +64,7 @@ impl TernarySim {
 #[derive(Debug)]
 pub struct SymbolicContext {
     /// The underlying manager; exposed so checks can run further operations.
-    /// [`CheckSettings::bdd_threads`] picks the engine inside: the classic
-    /// single-threaded manager, or the shared-memory work-stealing one.
-    pub manager: AnyManager,
+    pub manager: BddManager,
     input_vars: Vec<BddVar>,
     node_limit: Option<usize>,
     step_limit: Option<u64>,
@@ -85,10 +80,7 @@ pub struct SymbolicContext {
 impl Drop for SymbolicContext {
     fn drop(&mut self) {
         if let Some(pool) = self.pool.take() {
-            match std::mem::take(&mut self.manager) {
-                AnyManager::Classic(m) => pool.recycle(m),
-                AnyManager::Shared(m) => pool.recycle_shared(m),
-            }
+            pool.recycle(std::mem::take(&mut self.manager));
         }
     }
 }
@@ -105,35 +97,19 @@ impl SymbolicContext {
     /// [`BddManager::reset`] and behave bit-identically to fresh ones, so
     /// the pool never changes a verdict, only the allocation ramp-up.
     pub fn new(reference: &Circuit, settings: &CheckSettings) -> SymbolicContext {
-        let mut manager = if settings.bdd_threads >= 2 {
-            // Shared-memory engine: canonical BDDs make every verdict
-            // bit-identical to the classic engine's, so the thread count is
-            // a pure performance knob. The shared table is insert-only and
-            // never reorders, so `dynamic_reordering` is ignored here.
-            let config = SharedConfig::for_check(
-                settings.bdd_threads,
-                settings.node_limit,
-                settings.cache_bits,
-            );
-            AnyManager::Shared(match &settings.pool {
-                Some(pool) => pool.acquire_shared(config),
-                None => SharedManager::new(config),
-            })
-        } else {
-            let reorder = ReorderSettings {
-                threshold: settings.reorder_threshold,
-                enabled: settings.dynamic_reordering,
-                ..ReorderSettings::default()
-            };
-            AnyManager::Classic(match &settings.pool {
-                Some(pool) => {
-                    let mut m = pool.acquire();
-                    m.set_reorder_settings(reorder);
-                    m
-                }
-                None if settings.dynamic_reordering => BddManager::with_reordering(reorder),
-                None => BddManager::new(),
-            })
+        let reorder = ReorderSettings {
+            threshold: settings.reorder_threshold,
+            enabled: settings.dynamic_reordering,
+            ..ReorderSettings::default()
+        };
+        let mut manager = match &settings.pool {
+            Some(pool) => {
+                let mut m = pool.acquire();
+                m.set_reorder_settings(reorder);
+                m
+            }
+            None if settings.dynamic_reordering => BddManager::with_reordering(reorder),
+            None => BddManager::new(),
         };
         manager.set_tracer(settings.tracer.clone());
         manager.set_progress(settings.progress.clone());
@@ -324,7 +300,7 @@ impl SymbolicContext {
     fn simulate(
         &mut self,
         circuit: &Circuit,
-        leaf: impl Fn(&mut AnyManager, SignalId) -> Option<Bdd>,
+        leaf: impl Fn(&mut BddManager, SignalId) -> Option<Bdd>,
     ) -> Result<Vec<Option<Bdd>>, CheckError> {
         let tracer = self.manager.tracer().clone();
         let span = tracer.span("core.sim");
@@ -409,17 +385,17 @@ impl SymbolicContext {
     ) -> Result<TernaryBdd, bbec_bdd::BudgetExceeded> {
         type BResult<T> = Result<T, bbec_bdd::BudgetExceeded>;
         let m = &mut self.manager;
-        let and_fold = |m: &mut AnyManager, inputs: &[TernaryBdd]| -> BResult<TernaryBdd> {
+        let and_fold = |m: &mut BddManager, inputs: &[TernaryBdd]| -> BResult<TernaryBdd> {
             let is1s: Vec<Bdd> = inputs.iter().map(|t| t.is1).collect();
             let is0s: Vec<Bdd> = inputs.iter().map(|t| t.is0).collect();
             Ok(TernaryBdd { is1: m.try_and_many(&is1s)?, is0: m.try_or_many(&is0s)? })
         };
-        let or_fold = |m: &mut AnyManager, inputs: &[TernaryBdd]| -> BResult<TernaryBdd> {
+        let or_fold = |m: &mut BddManager, inputs: &[TernaryBdd]| -> BResult<TernaryBdd> {
             let is1s: Vec<Bdd> = inputs.iter().map(|t| t.is1).collect();
             let is0s: Vec<Bdd> = inputs.iter().map(|t| t.is0).collect();
             Ok(TernaryBdd { is1: m.try_or_many(&is1s)?, is0: m.try_and_many(&is0s)? })
         };
-        let xor_fold = |m: &mut AnyManager, inputs: &[TernaryBdd]| -> BResult<TernaryBdd> {
+        let xor_fold = |m: &mut BddManager, inputs: &[TernaryBdd]| -> BResult<TernaryBdd> {
             let mut acc = inputs[0];
             for t in &inputs[1..] {
                 let a = m.try_and(acc.is1, t.is0)?;

@@ -15,15 +15,17 @@
 //! bbec-box ADDER | a b cin | s cout
 //! ```
 //!
-//! names a box, its input pins and its output nets. Box *outputs* are
-//! listed among the AIGER inputs (the format has no notion of an
-//! undriven net); the reader demotes every annotated net from primary
-//! input to undriven signal, recovering the partial-implementation shape
-//! the checker expects.
+//! names a box, its input pins and its output nets. Every pin must name
+//! an AIGER input of the file (by symbol or as the default `i<pos>`):
+//! internal nets have no names in AIGER. Box *outputs* are listed among
+//! the AIGER inputs (the format has no notion of an undriven net); the
+//! reader demotes every annotated output from primary input to undriven
+//! signal, recovering the partial-implementation shape the checker
+//! expects.
 
 use crate::circuit::{Circuit, NetlistError, SignalId};
 use crate::gate::GateKind;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 /// A black-box annotation carried in the AIGER comment section.
@@ -54,8 +56,8 @@ const BOX_MARKER: &str = "bbec-box ";
 /// # Errors
 ///
 /// [`NetlistError::Parse`] on malformed headers, truncated binary
-/// sections, latches, undefined or cyclic references, and box
-/// annotations naming unknown nets.
+/// sections, latches, undefined or cyclic references, and box pins that
+/// name anything but an AIGER input the file declares.
 pub fn parse(bytes: &[u8]) -> Result<Aiger, NetlistError> {
     let mut r = ByteReader { bytes, pos: 0 };
     let header = r.line()?;
@@ -241,6 +243,10 @@ fn build_circuit(
     // Memoized inverters and constants, so shared negations fold.
     let mut not_cache: HashMap<u64, SignalId> = HashMap::new();
     let mut const_cache: [Option<SignalId>; 2] = [None, None];
+    // Names of the AIGER inputs the file declares: the only nets a box pin
+    // may name. Every other signal is one this reader mints (`n<k>`), so a
+    // pin matching it would bind to an unrelated net.
+    let mut declared: HashSet<String> = HashSet::with_capacity(inputs.len());
 
     for (pos, &lit) in inputs.iter().enumerate() {
         let var = lit / 2;
@@ -264,6 +270,7 @@ fn build_circuit(
         if var_sig.insert(var, sig).is_some() {
             return Err(NetlistError::Parse(format!("duplicate input literal {lit}")));
         }
+        declared.insert(name.to_string());
     }
 
     for &(lhs, rhs0, rhs1) in &ands {
@@ -294,12 +301,12 @@ fn build_circuit(
         b.output(name, sig);
     }
 
-    // Box annotations must refer to nets that exist.
+    // Box pins must name AIGER inputs the file declares.
     for bx in &boxes {
         for net in bx.inputs.iter().chain(&bx.outputs) {
-            if !b.contains_signal(net) {
+            if !declared.contains(net) {
                 return Err(NetlistError::Parse(format!(
-                    "box `{}` references unknown net `{net}`",
+                    "box `{}` pin `{net}` is not an AIGER input declared by the file",
                     bx.name
                 )));
             }

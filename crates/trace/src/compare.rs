@@ -1,8 +1,8 @@
 //! Cross-run regression comparison over trace-schema JSONL streams.
 //!
 //! The single source of truth for "is this run worse than that one":
-//! both the `perfgate` bench binary and `bbec report --compare` call into
-//! this module instead of keeping private copies of the comparison rules.
+//! `bbec report --compare` calls into this module, and every regression
+//! gate goes through that command.
 //!
 //! Rows are `record` events selected by event name, grouped by a key
 //! attribute and reduced to one metric attribute. When the baseline holds
@@ -224,7 +224,7 @@ pub fn host_parallelism(input: &str) -> Option<u64> {
     None
 }
 
-/// Renders one comparison row in the `perfgate` line format.
+/// Renders one comparison row in the `bbec report --compare` line format.
 pub fn render_row(row: &KeyComparison, spec: &CompareSpec) -> String {
     match (row.baseline, row.current) {
         (Some(_), None) => {

@@ -133,3 +133,26 @@ fn box_annotations_survive_write_parse_cycles() {
     // ternary simulation (box outputs read X) is the meaningful check.
     assert_ternary_equal_sampled(&parsed.circuit, &once_more.circuit, "boxed round trip");
 }
+
+#[test]
+fn box_pins_naming_internal_nets_are_rejected() {
+    // The box is fed by the internal net `n1`. AIGER names only inputs,
+    // and the reader mints its own `n<k>` names for AND nodes, so the pin
+    // must not bind to whatever the reader happened to call `n1`.
+    let partial = blif::parse_allow_undriven(
+        ".model p\n.inputs a b c\n.outputs f\n\
+         .names a b n1\n11 1\n.names bb c f\n1- 1\n-1 1\n.end\n",
+    )
+    .expect("partial BLIF parses");
+    let boxes = [aiger::AigerBox {
+        name: "BB".to_string(),
+        inputs: vec!["n1".to_string()],
+        outputs: vec!["bb".to_string()],
+    }];
+    let ascii = aiger::write_ascii_with_boxes(&partial, &boxes);
+    let binary = aiger::write_binary_with_boxes(&partial, &boxes);
+    for (what, bytes) in [("ascii", ascii.as_bytes()), ("binary", binary.as_slice())] {
+        let err = aiger::parse(bytes).expect_err(what).to_string();
+        assert!(err.contains("`BB`") && err.contains("`n1`"), "{what}: {err}");
+    }
+}
