@@ -2,6 +2,7 @@
 
 use crate::hasher::FxBuildHasher;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Operation tags for computed-table keys.
 ///
@@ -78,14 +79,24 @@ pub fn clamp_cache_bits(bits: u32) -> u32 {
 /// policy — the recursion simply recomputes, charging steps as usual).
 /// Hit/miss counters are kept per operation kind so the tracer can report
 /// cache effectiveness per operator; the aggregate accessors sum them.
+///
+/// [`OpCache::fork`] splits the table into a read-only `frozen` layer,
+/// shared by the parent and the fork, and one private map per side for new
+/// entries. The two layers never hold the same key (a lookup misses both
+/// before its result is inserted), so their sizes add up to what one
+/// cloned table would hold, and eviction and hit/miss behaviour match a
+/// clone exactly.
 #[derive(Debug)]
 pub(crate) struct OpCache {
-    map: HashMap<(Op, u32, u32, u32), u32, FxBuildHasher>,
+    map: Map,
+    frozen: Option<Arc<Map>>,
     capacity: usize,
     evictions: u64,
     hits: [u64; Op::COUNT],
     misses: [u64; Op::COUNT],
 }
+
+type Map = HashMap<(Op, u32, u32, u32), u32, FxBuildHasher>;
 
 impl Default for OpCache {
     fn default() -> Self {
@@ -101,6 +112,7 @@ impl OpCache {
     pub(crate) fn with_capacity_bits(bits: u32) -> Self {
         OpCache {
             map: HashMap::default(),
+            frozen: None,
             capacity: 1usize << clamp_cache_bits(bits),
             evictions: 0,
             hits: [0; Op::COUNT],
@@ -112,9 +124,50 @@ impl OpCache {
     /// current entry if it no longer fits.
     pub(crate) fn set_capacity_bits(&mut self, bits: u32) {
         self.capacity = 1usize << clamp_cache_bits(bits);
-        if self.map.len() > self.capacity {
-            self.map.clear();
+        if self.len() > self.capacity {
+            self.clear();
             self.evictions += 1;
+        }
+    }
+
+    /// Entries held, counting both the private map and the frozen layer.
+    fn len(&self) -> usize {
+        self.map.len() + self.frozen.as_ref().map_or(0, |f| f.len())
+    }
+
+    /// Moves every private entry into the frozen layer and returns a table
+    /// that shares it: same entries, counters and capacity, and an empty
+    /// private map of its own. The layer is copied only if another fork
+    /// still holds it.
+    pub(crate) fn fork(&mut self) -> OpCache {
+        if !self.map.is_empty() {
+            let mut own = std::mem::take(&mut self.map);
+            match &mut self.frozen {
+                Some(layer) => {
+                    // Merge the smaller map into the larger one and free
+                    // the smaller one's allocation.
+                    let layer = Arc::make_mut(layer);
+                    if own.len() > layer.len() {
+                        std::mem::swap(layer, &mut own);
+                    }
+                    layer.extend(own);
+                    layer.shrink_to_fit();
+                }
+                None => {
+                    // A map cleared by GC or sifting keeps its allocation;
+                    // the layer lives as long as its forks, so compact it.
+                    own.shrink_to_fit();
+                    self.frozen = Some(Arc::new(own));
+                }
+            }
+        }
+        OpCache {
+            map: HashMap::default(),
+            frozen: self.frozen.clone(),
+            capacity: self.capacity,
+            evictions: self.evictions,
+            hits: self.hits,
+            misses: self.misses,
         }
     }
 
@@ -129,7 +182,12 @@ impl OpCache {
 
     #[inline]
     pub(crate) fn get(&mut self, op: Op, a: u32, b: u32, c: u32) -> Option<u32> {
-        let r = self.map.get(&(op, a, b, c)).copied();
+        let key = (op, a, b, c);
+        let r = match &self.frozen {
+            Some(layer) => self.map.get(&key).or_else(|| layer.get(&key)),
+            None => self.map.get(&key),
+        }
+        .copied();
         if r.is_some() {
             self.hits[op.index()] += 1;
         } else {
@@ -140,22 +198,24 @@ impl OpCache {
 
     #[inline]
     pub(crate) fn put(&mut self, op: Op, a: u32, b: u32, c: u32, result: u32) {
-        if self.map.len() >= self.capacity {
-            self.map.clear();
+        if self.len() >= self.capacity {
+            self.clear();
             self.evictions += 1;
         }
         self.map.insert((op, a, b, c), result);
     }
 
+    /// Drops every entry, including this side's share of the frozen layer.
     pub(crate) fn clear(&mut self) {
         self.map.clear();
+        self.frozen = None;
     }
 
     /// Restores the table to its just-constructed state while keeping the
     /// map's allocation warm: entries, per-op counters and the eviction
     /// total all go to zero; the capacity bound is preserved.
     pub(crate) fn reset(&mut self) {
-        self.map.clear();
+        self.clear();
         self.evictions = 0;
         self.hits = [0; Op::COUNT];
         self.misses = [0; Op::COUNT];
@@ -190,6 +250,66 @@ impl OpCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A flat copy holding every entry in one private map: what a fork
+    /// would be if it cloned the table instead of sharing a frozen layer.
+    fn flat_clone(c: &OpCache) -> OpCache {
+        let mut map = c.map.clone();
+        if let Some(layer) = &c.frozen {
+            map.extend(layer.iter().map(|(k, v)| (*k, *v)));
+        }
+        OpCache { map, frozen: None, ..*c }
+    }
+
+    /// The manager's access pattern: a lookup, then an insert on a miss.
+    fn lookup_or_insert(c: &mut OpCache, key: u32) -> Option<u32> {
+        let r = c.get(Op::And, key, key ^ 1, 0);
+        if r.is_none() {
+            c.put(Op::And, key, key ^ 1, 0, key.wrapping_mul(3));
+        }
+        r
+    }
+
+    #[test]
+    fn frozen_layer_behaves_like_a_cloned_table() {
+        let cap = 1u32 << MIN_CACHE_BITS;
+        let mut parent = OpCache::with_capacity_bits(MIN_CACHE_BITS);
+        for k in 0..cap / 2 {
+            lookup_or_insert(&mut parent, k);
+        }
+        // Fork twice in a row, as a ladder forks one base per rung; the
+        // second fork also moves entries added after the first.
+        let mut first = parent.fork();
+        for k in cap / 2..cap * 3 / 4 {
+            lookup_or_insert(&mut parent, k);
+        }
+        let mut reference_parent = flat_clone(&parent);
+        let mut child = parent.fork();
+        let mut reference_child = flat_clone(&child);
+        let mut state = 0x2545_f491u32;
+        for step in 0..6 * cap {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            let key = state % (3 * cap);
+            for (layered, flat) in
+                [(&mut child, &mut reference_child), (&mut parent, &mut reference_parent)]
+            {
+                if step % 1500 == 1499 {
+                    layered.clear();
+                    flat.clear();
+                }
+                assert_eq!(lookup_or_insert(layered, key), lookup_or_insert(flat, key));
+                assert_eq!(layered.len(), flat.len(), "step {step}");
+                assert_eq!(layered.evictions(), flat.evictions(), "step {step}");
+                assert_eq!(layered.stats_by_op(), flat.stats_by_op(), "step {step}");
+            }
+        }
+        assert!(child.evictions() > 0 && child.frozen.is_none(), "eviction drops the layer");
+        // The first fork kept the entries it saw, untouched by the others.
+        assert_eq!(first.get(Op::And, 1, 0, 0), Some(3));
+        assert_eq!(first.get(Op::And, cap - 1, (cap - 1) ^ 1, 0), None);
+    }
 
     #[test]
     fn round_trips_entries() {

@@ -82,7 +82,7 @@ pub(crate) struct Node {
 }
 
 /// One unique table per level, chained through `Node::next`.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct SubTable {
     pub(crate) buckets: Vec<u32>,
     pub(crate) count: usize,
@@ -309,6 +309,14 @@ impl BddManager {
         self.window_start = self.steps;
     }
 
+    /// Moves the wall-clock deadline of the installed budget, keeping its
+    /// step window. Does nothing when no budget is installed.
+    pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
+        if let Some(budget) = &mut self.budget {
+            budget.deadline = deadline;
+        }
+    }
+
     /// The currently installed budget, if any.
     pub fn budget(&self) -> Option<Budget> {
         self.budget
@@ -444,6 +452,52 @@ impl BddManager {
         self.progress = Progress::disabled();
         self.flight = FlightRecorder::disabled();
         self.flight_evictions = 0;
+    }
+
+    /// Returns an independent manager in exactly this manager's state, so
+    /// that operations on either side behave as they would on a manager
+    /// that had run the same history itself.
+    ///
+    /// The fork copies the node arena, the unique tables, the variable
+    /// order, the reordering settings (including the grown threshold), the
+    /// budget and its step window, every counter and the peak, and the
+    /// observability sinks. Every [`Bdd`] handle of this manager denotes
+    /// the same function in the fork. The computed table is not copied:
+    /// its entries move into a read-only layer that both sides share, and
+    /// each side inserts into a private map of its own (see
+    /// `OpCache::fork`), so a fork costs one arena copy.
+    pub fn fork(&mut self) -> BddManager {
+        BddManager {
+            // Same capacity as the parent's arena: a fork grows right away,
+            // and an exact-size clone would reallocate (old and new arena
+            // both resident) on its first allocation.
+            nodes: {
+                let mut nodes = Vec::with_capacity(self.nodes.capacity());
+                nodes.extend_from_slice(&self.nodes);
+                nodes
+            },
+            free: self.free.clone(),
+            tables: self.tables.clone(),
+            level_to_var: self.level_to_var.clone(),
+            var_to_level: self.var_to_level.clone(),
+            projections: self.projections.clone(),
+            cache: self.cache.fork(),
+            dead: self.dead,
+            live: self.live,
+            peak: self.peak,
+            allocated: self.allocated,
+            reorderings: self.reorderings,
+            collected: self.collected,
+            reorder_settings: self.reorder_settings.clone(),
+            budget: self.budget,
+            steps: self.steps,
+            window_start: self.window_start,
+            gc_passes: self.gc_passes,
+            tracer: self.tracer.clone(),
+            progress: self.progress.clone(),
+            flight: self.flight.clone(),
+            flight_evictions: self.flight_evictions,
+        }
     }
 
     /// The constant `true` or `false` function.
@@ -1023,6 +1077,76 @@ mod tests {
         let g = m.and(a, b); // cache or unique-table hit resurrects
         assert_eq!(f, g);
         m.check_invariants();
+    }
+
+    /// Builds a chain of carry-like functions over fresh variables,
+    /// protecting each result and offering a reorder between steps.
+    fn grow(m: &mut BddManager, vars: usize, salt: usize) -> Vec<Bdd> {
+        let base = m.var_count();
+        let vs = m.new_vars(vars);
+        let mut out = Vec::new();
+        let mut acc = m.constant(salt.is_multiple_of(2));
+        for (i, &v) in vs.iter().enumerate() {
+            let x = m.var(v);
+            let y = m.var(BddVar(((i * 7 + salt) % (base + vars)) as u32));
+            let t = m.xor(x, y);
+            let u = m.and(acc, t);
+            acc = m.or(u, x);
+            out.push(m.protect(acc));
+            m.maybe_reorder();
+        }
+        out
+    }
+
+    /// Everything observable about a manager's state, for comparisons.
+    fn observe(m: &BddManager, roots: &[Bdd]) -> impl PartialEq + std::fmt::Debug {
+        let order: Vec<u32> = (0..m.var_count() as u32).map(|l| m.var_at_level(l).0).collect();
+        (
+            roots.to_vec(),
+            m.stats(),
+            m.telemetry(),
+            m.cache_stats_by_op(),
+            m.cache_evictions(),
+            m.dead_nodes(),
+            order,
+        )
+    }
+
+    #[test]
+    fn fork_and_parent_match_a_fresh_history() {
+        let fresh = || {
+            let mut m = BddManager::with_reordering(ReorderSettings {
+                threshold: 24,
+                ..ReorderSettings::default()
+            });
+            m.set_cache_capacity_bits(crate::MIN_CACHE_BITS);
+            m.set_budget(Some(Budget { max_steps: Some(1 << 40), ..Budget::default() }));
+            m
+        };
+        let mut parent = fresh();
+        let first = grow(&mut parent, 10, 1);
+        assert!(parent.stats().reorderings > 0, "the shared history must sift");
+        let mut fork = parent.fork();
+        // Both sides continue differently; each must match a manager that
+        // ran its whole history alone.
+        let on_fork = grow(&mut fork, 6, 2);
+        let on_parent = grow(&mut parent, 8, 3);
+        for (salt, vars, side, roots) in [(2, 6, &fork, &on_fork), (3, 8, &parent, &on_parent)] {
+            let mut alone = fresh();
+            assert_eq!(grow(&mut alone, 10, 1), first);
+            let again = grow(&mut alone, vars, salt);
+            assert_eq!(observe(side, roots), observe(&alone, &again), "salt {salt}");
+            side.check_invariants();
+            let assign: Vec<bool> = (0..alone.var_count()).map(|i| i % 3 == 0).collect();
+            for (&a, &b) in roots.iter().zip(&again) {
+                assert_eq!(side.eval(a, &assign), alone.eval(b, &assign));
+            }
+        }
+        // Handles from before the fork still denote the same functions.
+        let assign: Vec<bool> = (0..fork.var_count()).map(|i| i % 2 == 0).collect();
+        for &f in &first {
+            assert_eq!(fork.eval(f, &assign), parent.eval(f, &assign));
+        }
     }
 
     #[test]

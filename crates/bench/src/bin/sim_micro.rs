@@ -7,7 +7,8 @@
 //!
 //! * `rp_rung` — the packed random-pattern rung ([`checks::random_patterns`])
 //!   on a clean boxed instance (no early exit: the full pattern budget runs).
-//! * `rp_rung_scalar` — the scalar reference rung on the same instance and
+//! * `rp_rung_scalar` — the scalar reference rung
+//!   ([`random_patterns_scalar`]) on the same instance and
 //!   pattern stream: the speedup denominator.
 //! * `packed_bool` — raw two-valued `eval_block` sweeps.
 //! * `packed_ternary` — raw dual-rail `eval_ternary_block` sweeps.
@@ -26,6 +27,7 @@
 use bbec_core::{checks, CheckSettings, PartialCircuit};
 use bbec_netlist::bitsim::BitSim;
 use bbec_netlist::{generators, Circuit};
+use bbec_oracle::scalar::random_patterns_scalar;
 use bbec_trace::{AttrValue, Tracer};
 use std::time::Instant;
 
@@ -75,7 +77,7 @@ fn bench_rung(patterns: usize, scalar: bool) -> Measurement {
     };
     let t0 = Instant::now();
     let out = if scalar {
-        checks::random_patterns_scalar(&spec, &partial, &settings)
+        random_patterns_scalar(&spec, &partial, &settings)
     } else {
         checks::random_patterns(&spec, &partial, &settings)
     }

@@ -5,13 +5,17 @@
 //! ladder: it is recorded as a [`StageResult::BudgetExceeded`] entry and
 //! the ladder proceeds, so the final verdict is that of the strongest rung
 //! that actually finished.
+//!
+//! The BDD rungs share their builds: the specification's BDDs and the Z_i
+//! simulation of the partial implementation are built once per run and
+//! forked per rung ([`SharedBuilds`]).
 
-use crate::checks::{input_exact, local_check, output_exact, random_patterns, symbolic_01x};
+use crate::checks::{random_patterns, symbolic_01x_with, SpecBase, ZiSetup};
 use crate::partial::PartialCircuit;
 use crate::report::{
-    CheckError, CheckOutcome, CheckSettings, Counterexample, Method, ResourceStats, Verdict,
+    BudgetAbort, CheckError, CheckOutcome, CheckSettings, Counterexample, Method, ResourceStats,
+    Verdict,
 };
-use crate::session::CheckSession;
 use bbec_netlist::Circuit;
 use std::time::{Duration, Instant};
 
@@ -161,18 +165,20 @@ impl CheckLadder {
         spec: &Circuit,
         partial: &PartialCircuit,
     ) -> Result<LadderReport, CheckError> {
+        let mut shared = SharedBuilds::new(spec, partial, &self.settings);
         let mut stages = Vec::new();
-        for &stage in &self.stages {
+        for (i, &stage) in self.stages.iter().enumerate() {
             let span = self.settings.tracer.span("core.ladder_rung");
             span.set_attr("method", stage.label());
             self.settings.progress.set_task(stage.label());
             let rung_start = Instant::now();
+            let later = &self.stages[i + 1..];
             let result = match stage {
                 Method::RandomPatterns => random_patterns(spec, partial, &self.settings),
-                Method::Symbolic01X => symbolic_01x(spec, partial, &self.settings),
-                Method::Local => local_check(spec, partial, &self.settings),
-                Method::OutputExact => output_exact(spec, partial, &self.settings),
-                Method::InputExact => input_exact(spec, partial, &self.settings),
+                Method::Symbolic01X => shared.symbolic_01x(later),
+                Method::Local | Method::OutputExact | Method::InputExact => {
+                    shared.zi_check(stage, later, rung_start)
+                }
                 Method::SatDualRail => {
                     crate::sat_checks::sat_dual_rail(spec, partial, &self.settings)
                 }
@@ -189,46 +195,9 @@ impl CheckLadder {
                 }
             };
             span.set_attr("budget_exceeded", matches!(&result, Err(CheckError::BudgetExceeded(_))));
-            drop(span);
-            if Self::push_stage(&mut stages, stage, result, rung_start.elapsed())? {
-                break;
+            if std::mem::take(&mut shared.replayed) {
+                span.set_attr("replayed", true);
             }
-        }
-        Ok(LadderReport { stages })
-    }
-
-    /// Like [`CheckLadder::run`], but reuses a [`CheckSession`]'s
-    /// specification BDDs across the BDD-based rungs. The session stays
-    /// usable after budget-exceeded rungs — no refresh is triggered.
-    ///
-    /// # Errors
-    ///
-    /// As [`CheckLadder::run`]; the session's specification must match
-    /// `spec` by construction (the session owns it).
-    pub fn run_with_session(
-        &self,
-        session: &mut CheckSession,
-        partial: &PartialCircuit,
-    ) -> Result<LadderReport, CheckError> {
-        let mut stages = Vec::new();
-        for &stage in &self.stages {
-            let span = self.settings.tracer.span("core.ladder_rung");
-            span.set_attr("method", stage.label());
-            self.settings.progress.set_task(stage.label());
-            let rung_start = Instant::now();
-            let result = match stage {
-                Method::SatDualRail => {
-                    crate::sat_checks::sat_dual_rail(session.spec(), partial, &self.settings)
-                }
-                Method::SatOutputExact => crate::sat_checks::sat_output_exact(
-                    session.spec(),
-                    partial,
-                    &self.settings,
-                    self.sat_refinement_budget,
-                ),
-                method => session.check(partial, method),
-            };
-            span.set_attr("budget_exceeded", matches!(&result, Err(CheckError::BudgetExceeded(_))));
             drop(span);
             if Self::push_stage(&mut stages, stage, result, rung_start.elapsed())? {
                 break;
@@ -261,6 +230,135 @@ impl CheckLadder {
             }
             Err(e) => Err(e),
         }
+    }
+}
+
+/// Whether a rung works on the Z_i simulation ([`ZiSetup`]).
+fn is_zi(method: Method) -> bool {
+    matches!(method, Method::Local | Method::OutputExact | Method::InputExact)
+}
+
+/// One shared build of a ladder run.
+enum Shared<T> {
+    /// Not built yet, handed over to its last user, or lost to a
+    /// wall-clock abort (a later rung rebuilds it).
+    Unbuilt,
+    Ready(T),
+    /// The build hit a step or node cap; the reason, for later rungs.
+    Aborted(String),
+}
+
+impl<T> Shared<T> {
+    /// The built value for one rung: a fork when `keep` (a later rung still
+    /// needs it), the value itself otherwise.
+    fn hand_out(&mut self, mut value: T, keep: bool, fork: fn(&mut T) -> T) -> T {
+        if keep {
+            let copy = fork(&mut value);
+            *self = Shared::Ready(value);
+            copy
+        } else {
+            value
+        }
+    }
+
+    /// Records a failed build when a rebuild would fail the same way.
+    fn note_failure(&mut self, err: &CheckError, replayable: bool) {
+        if let (CheckError::BudgetExceeded(abort), true) = (err, replayable) {
+            *self = Shared::Aborted(abort.reason.clone());
+        }
+    }
+}
+
+/// The BDD builds one [`CheckLadder::run`] shares across its rungs: the
+/// spec base (context plus specification BDDs, used by 0,1,X and the Z_i
+/// rungs) and the Z_i base (the spec base plus the Z_i simulation, used by
+/// local, output-exact and input-exact). Each is built lazily by the first
+/// rung that needs it; every rung runs on a fork, except the last rung
+/// needing a base, which takes the base itself.
+///
+/// A budget abort inside a shared build is replayed instead of rebuilt
+/// when the budget has no wall-clock part: step and node caps fire at the
+/// same point on every rebuild, so later rungs report the same reason
+/// (without statistics — nothing ran). Under a time limit or deadline a
+/// rebuild may get further, so later rungs rebuild.
+struct SharedBuilds<'a> {
+    spec: &'a Circuit,
+    partial: &'a PartialCircuit,
+    settings: &'a CheckSettings,
+    replayable: bool,
+    spec_base: Shared<SpecBase>,
+    zi_base: Shared<ZiSetup>,
+    /// Set when the current rung's result is a replayed abort.
+    replayed: bool,
+}
+
+impl<'a> SharedBuilds<'a> {
+    fn new(spec: &'a Circuit, partial: &'a PartialCircuit, settings: &'a CheckSettings) -> Self {
+        SharedBuilds {
+            spec,
+            partial,
+            settings,
+            replayable: settings.time_limit.is_none() && settings.deadline.is_none(),
+            spec_base: Shared::Unbuilt,
+            zi_base: Shared::Unbuilt,
+            replayed: false,
+        }
+    }
+
+    fn replay(&mut self, reason: String) -> CheckError {
+        self.replayed = true;
+        CheckError::BudgetExceeded(BudgetAbort::new(reason))
+    }
+
+    /// The spec base for one rung (or for building the Z_i base); `keep`
+    /// says whether a later rung still needs it.
+    fn spec_base(&mut self, keep: bool) -> Result<SpecBase, CheckError> {
+        let base = match std::mem::replace(&mut self.spec_base, Shared::Unbuilt) {
+            Shared::Ready(base) => base,
+            Shared::Aborted(reason) => {
+                self.spec_base = Shared::Aborted(reason.clone());
+                return Err(self.replay(reason));
+            }
+            Shared::Unbuilt => SpecBase::build(self.spec, self.settings)
+                .inspect_err(|e| self.spec_base.note_failure(e, self.replayable))?,
+        };
+        Ok(self.spec_base.hand_out(base, keep, SpecBase::fork))
+    }
+
+    fn symbolic_01x(&mut self, later: &[Method]) -> Result<CheckOutcome, CheckError> {
+        let zi_unbuilt = matches!(self.zi_base, Shared::Unbuilt);
+        let keep = later.iter().any(|&m| m == Method::Symbolic01X || (zi_unbuilt && is_zi(m)));
+        let mut base = self.spec_base(keep)?;
+        symbolic_01x_with(&mut base.ctx, &base.spec_bdds, self.spec, self.partial)
+    }
+
+    fn zi_check(
+        &mut self,
+        method: Method,
+        later: &[Method],
+        rung_start: Instant,
+    ) -> Result<CheckOutcome, CheckError> {
+        self.zi_setup(later, rung_start)?.run(method, self.spec, self.partial)
+    }
+
+    /// The Z_i setup for one rung, ready to run.
+    fn zi_setup(&mut self, later: &[Method], rung_start: Instant) -> Result<ZiSetup, CheckError> {
+        let base = match std::mem::replace(&mut self.zi_base, Shared::Unbuilt) {
+            Shared::Ready(base) => base,
+            Shared::Aborted(reason) => {
+                self.zi_base = Shared::Aborted(reason.clone());
+                return Err(self.replay(reason));
+            }
+            Shared::Unbuilt => {
+                let spec_base = self.spec_base(later.contains(&Method::Symbolic01X))?;
+                ZiSetup::build(spec_base, self.spec, self.partial)
+                    .inspect_err(|e| self.zi_base.note_failure(e, self.replayable))?
+            }
+        };
+        let keep = later.iter().any(|&m| is_zi(m));
+        let mut setup = self.zi_base.hand_out(base, keep, ZiSetup::fork);
+        setup.start_rung(rung_start);
+        Ok(setup)
     }
 }
 
@@ -330,9 +428,37 @@ mod tests {
         }
     }
 
-    /// ISSUE satellite: a ladder whose input-exact rung exceeds a tiny step
-    /// budget still reports the verdict of the strongest finished rung, and
-    /// the same session answers a subsequent query without refreshing.
+    /// A rung handed the Z_i base long after it was built gets the same
+    /// time-limit window as a rung that just built it, whether it gets a
+    /// fork or the base itself.
+    #[test]
+    fn late_zi_rungs_get_a_full_time_window() {
+        let (spec, partial) = samples::detected_only_by_input_exact();
+        let limit = Duration::from_secs(30);
+        let settings = CheckSettings {
+            dynamic_reordering: false,
+            time_limit: Some(limit),
+            ..CheckSettings::default()
+        };
+        let window = |s: &ZiSetup| s.deadline().expect("armed").duration_since(Instant::now());
+        let mut shared = SharedBuilds::new(&spec, &partial, &settings);
+        let fresh = window(&shared.zi_setup(&[Method::OutputExact], Instant::now()).unwrap());
+        assert!(fresh > limit - Duration::from_secs(1), "{fresh:?}");
+        // A slow rung in between: a deadline left as it was at the build
+        // would eat into the next rungs' windows.
+        let slow = Duration::from_millis(1500);
+        std::thread::sleep(slow);
+        let forked = window(&shared.zi_setup(&[Method::InputExact], Instant::now()).unwrap());
+        std::thread::sleep(slow);
+        let taken = window(&shared.zi_setup(&[], Instant::now()).unwrap());
+        for (what, w) in [("fork", forked), ("base", taken)] {
+            assert!(w + slow / 2 > fresh, "{what}: window {w:?} vs fresh {fresh:?}");
+        }
+    }
+
+    /// A ladder whose input-exact rung exceeds a tiny step budget still
+    /// reports the verdict of the strongest finished rung, and the rungs
+    /// before it, which share its builds, are unaffected.
     #[test]
     fn budget_exceeded_rung_degrades_gracefully() {
         let (spec, partial) = samples::detected_only_by_input_exact();
@@ -343,16 +469,16 @@ mod tests {
             ..CheckSettings::default()
         };
 
-        // Calibrate: run the BDD rungs unbudgeted in ladder order and
-        // record each rung's deterministic step cost (reordering is off, so
-        // a second session charges the exact same step counts).
-        let mut cal = CheckSession::new(spec.clone(), base.clone()).unwrap();
+        // Calibrate: run the BDD rungs unbudgeted and record each rung's
+        // deterministic step cost (reordering is off, so the ladder's
+        // rungs charge the exact same step counts).
         let mut max_earlier = 0;
-        for m in [Method::Symbolic01X, Method::Local, Method::OutputExact] {
-            let out = cal.check(&partial, m).unwrap();
-            max_earlier = max_earlier.max(out.stats.apply_steps);
+        for check in [crate::checks::symbolic_01x, crate::checks::local_check] {
+            max_earlier = max_earlier.max(check(&spec, &partial, &base).unwrap().stats.apply_steps);
         }
-        let ie = cal.check(&partial, Method::InputExact).unwrap();
+        let oe = crate::checks::output_exact(&spec, &partial, &base).unwrap();
+        max_earlier = max_earlier.max(oe.stats.apply_steps);
+        let ie = crate::checks::input_exact(&spec, &partial, &base).unwrap();
         assert_eq!(ie.verdict, Verdict::ErrorFound, "sample is detected only by input-exact");
         assert!(
             ie.stats.apply_steps > max_earlier,
@@ -361,9 +487,8 @@ mod tests {
 
         // A step limit that admits every rung except input-exact.
         let tight = CheckSettings { step_limit: Some(max_earlier), ..base };
-        let mut session = CheckSession::new(spec.clone(), tight.clone()).unwrap();
         let l = CheckLadder::with_settings(tight);
-        let report = l.run_with_session(&mut session, &partial).unwrap();
+        let report = l.run(&spec, &partial).unwrap();
 
         assert_eq!(report.stages.len(), 5);
         assert_eq!(report.budget_exceeded(), vec![Method::InputExact]);
@@ -378,11 +503,7 @@ mod tests {
         // verdict is "no error found" — from the strongest finished rung.
         assert_eq!(report.verdict(), Verdict::NoErrorFound);
         assert_eq!(report.deciding_method(), None);
-
-        // The session survived the abort without a refresh and still
-        // answers queries.
-        let again = session.check(&partial, Method::OutputExact).unwrap();
-        assert_eq!(again.verdict, Verdict::NoErrorFound);
-        assert_eq!(session.refreshes(), 0, "budget abort must not force a refresh");
+        let oe_rung = report.stages[3].outcome().expect("output-exact finished");
+        assert_eq!(oe_rung.stats.apply_steps, oe.stats.apply_steps);
     }
 }

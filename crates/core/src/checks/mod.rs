@@ -29,24 +29,25 @@ mod zi;
 
 pub use exact::{exact_decomposition, BoxTable, ExactOutcome};
 pub use ladder::{CheckLadder, LadderReport, StageResult};
-pub use random::{random_patterns, random_patterns_scalar};
+pub use random::random_patterns;
 pub use ternary::symbolic_01x;
 pub(crate) use ternary::symbolic_01x_with;
+pub(crate) use zi::ZiSetup;
 pub use zi::{input_exact, local_check, output_exact};
-pub(crate) use zi::{input_exact_with, local_check_with, output_exact_with};
 
 use crate::partial::PartialCircuit;
-use crate::report::{BudgetAbort, CheckError, ResourceStats};
+use crate::report::{BudgetAbort, CheckError, CheckSettings, ResourceStats};
 use crate::symbolic::SymbolicContext;
 use bbec_bdd::{Bdd, OpTelemetry};
 use bbec_netlist::Circuit;
 use std::time::Instant;
 
 /// Validates that spec and partial implementation share an interface.
-pub(crate) fn validate_interface(
-    spec: &Circuit,
-    partial: &PartialCircuit,
-) -> Result<(), CheckError> {
+///
+/// Public only for the reference implementations outside this crate,
+/// which must reject a mismatch exactly as the checks do.
+#[doc(hidden)]
+pub fn validate_interface(spec: &Circuit, partial: &PartialCircuit) -> Result<(), CheckError> {
     let imp = partial.circuit();
     if spec.inputs().len() != imp.inputs().len() {
         return Err(CheckError::InterfaceMismatch {
@@ -69,16 +70,61 @@ pub(crate) fn validate_interface(
     Ok(())
 }
 
+/// A context holding the specification's output BDDs `f_j`: what every
+/// BDD-based check builds first. A ladder builds it once and forks it per
+/// rung; a [`crate::CheckSession`] keeps one and forks it per check.
+#[derive(Debug)]
+pub(crate) struct SpecBase {
+    pub(crate) ctx: SymbolicContext,
+    pub(crate) spec_bdds: Vec<Bdd>,
+}
+
+impl SpecBase {
+    /// Builds a fresh context and the specification's BDDs, under a budget
+    /// window of their own.
+    pub(crate) fn build(spec: &Circuit, settings: &CheckSettings) -> Result<SpecBase, CheckError> {
+        let mut ctx = SymbolicContext::new(spec, settings);
+        let probe = CheckProbe::begin(&mut ctx);
+        match ctx.build_outputs(spec) {
+            Ok(spec_bdds) => Ok(SpecBase { ctx, spec_bdds }),
+            Err(e) => Err(probe.annotate(&ctx, e)),
+        }
+    }
+
+    /// An independent copy (see [`SymbolicContext::fork`]).
+    pub(crate) fn fork(&mut self) -> SpecBase {
+        SpecBase { ctx: self.ctx.fork(), spec_bdds: self.spec_bdds.clone() }
+    }
+}
+
 /// Per-check resource probe: arms the context's budget window, snapshots
 /// the governor's telemetry, and turns the deltas into [`ResourceStats`]
 /// on both the success and the abort path.
+#[derive(Clone)]
 pub(crate) struct CheckProbe {
     start: Instant,
     telemetry: OpTelemetry,
     live_before: usize,
-    /// Per-op cache snapshot, taken only when the tracer is enabled, so
-    /// [`CheckProbe::stats`] can flush this window's deltas as counters.
-    cache_by_op: Option<Vec<(&'static str, u64, u64)>>,
+    /// Counter snapshot for the tracer, taken only when it is enabled, so
+    /// [`CheckProbe::stats`] can flush the deltas as counters.
+    traced: Option<TraceMark>,
+}
+
+/// What the tracer has already been sent: the governor's telemetry and
+/// the per-op cache counters at one point.
+#[derive(Clone)]
+struct TraceMark {
+    telemetry: OpTelemetry,
+    cache_by_op: Vec<(&'static str, u64, u64)>,
+}
+
+impl TraceMark {
+    fn take(ctx: &SymbolicContext) -> Option<TraceMark> {
+        ctx.tracer().enabled().then(|| TraceMark {
+            telemetry: ctx.manager.telemetry(),
+            cache_by_op: ctx.manager.cache_stats_by_op(),
+        })
+    }
 }
 
 impl CheckProbe {
@@ -86,27 +132,44 @@ impl CheckProbe {
     pub(crate) fn begin(ctx: &mut SymbolicContext) -> Self {
         ctx.arm_budget();
         ctx.manager.reset_peak();
-        let cache_by_op = ctx.tracer().enabled().then(|| ctx.manager.cache_stats_by_op());
         CheckProbe {
             start: Instant::now(),
             telemetry: ctx.manager.telemetry(),
             live_before: ctx.manager.stats().live_nodes,
-            cache_by_op,
+            traced: TraceMark::take(ctx),
         }
+    }
+
+    /// Marks everything `ctx` has done so far as already sent to the
+    /// tracer. A shared build calls this once a fork carrying its work has
+    /// been handed out, so later forks report only their own work.
+    pub(crate) fn mark_traced(&mut self, ctx: &SymbolicContext) {
+        self.traced = TraceMark::take(ctx);
+    }
+
+    /// Starts the wall clock no earlier than `at`, so a check on a fork of
+    /// a base built by an earlier rung is not charged that rung's time.
+    pub(crate) fn clock_from(&mut self, at: Instant) {
+        self.start = self.start.max(at);
     }
 
     /// Stats for a check that ran to completion (or up to an abort).
     ///
     /// When tracing is on, this is also the manager counter flush point:
-    /// the window's per-operation cache deltas, apply steps and GC/reorder
-    /// pass counts accumulate into the tracer (deltas add up correctly
-    /// across the short-lived managers of one-shot checks).
+    /// the per-operation cache deltas, apply steps and GC/reorder pass
+    /// counts since the trace mark accumulate into the tracer (deltas add
+    /// up correctly across the short-lived managers of one-shot checks).
+    /// The trace mark equals the window start except on the later forks
+    /// of a shared build (see [`CheckProbe::mark_traced`]), so the tracer
+    /// counts the work that ran, while the returned stats cost the check
+    /// as if it had built everything itself.
     pub(crate) fn stats(&self, ctx: &SymbolicContext, impl_nodes: usize) -> ResourceStats {
         let delta = ctx.manager.telemetry().since(&self.telemetry);
         let peak = ctx.manager.stats().peak_live_nodes;
-        if let Some(before) = &self.cache_by_op {
+        if let Some(mark) = &self.traced {
             let tracer = ctx.tracer();
-            for (now, was) in ctx.manager.cache_stats_by_op().iter().zip(before) {
+            let delta = ctx.manager.telemetry().since(&mark.telemetry);
+            for (now, was) in ctx.manager.cache_stats_by_op().iter().zip(&mark.cache_by_op) {
                 let hits = now.1.saturating_sub(was.1);
                 let misses = now.2.saturating_sub(was.2);
                 if hits > 0 {

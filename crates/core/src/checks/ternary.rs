@@ -1,6 +1,6 @@
 //! Symbolic 0,1,X simulation (Section 2.1 of the paper).
 
-use crate::checks::{validate_interface, CheckProbe, Guard};
+use crate::checks::{validate_interface, CheckProbe, Guard, SpecBase};
 use crate::partial::PartialCircuit;
 use crate::report::{CheckError, CheckOutcome, CheckSettings, Counterexample, Method, Verdict};
 use crate::symbolic::SymbolicContext;
@@ -24,13 +24,8 @@ pub fn symbolic_01x(
     partial: &PartialCircuit,
     settings: &CheckSettings,
 ) -> Result<CheckOutcome, CheckError> {
-    let mut ctx = SymbolicContext::new(spec, settings);
-    let probe = CheckProbe::begin(&mut ctx);
-    let spec_bdds = match ctx.build_outputs(spec) {
-        Ok(b) => b,
-        Err(e) => return Err(probe.annotate(&ctx, e)),
-    };
-    symbolic_01x_with(&mut ctx, &spec_bdds, spec, partial)
+    let mut base = SpecBase::build(spec, settings)?;
+    symbolic_01x_with(&mut base.ctx, &base.spec_bdds, spec, partial)
 }
 
 pub(crate) fn symbolic_01x_with(

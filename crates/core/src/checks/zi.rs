@@ -1,78 +1,149 @@
 //! Z_i simulation based checks: local (Lemma 2.1), output-exact
 //! (Lemma 2.2) and input-exact (equation (1)) — Section 2.2 of the paper.
 
-use crate::checks::{validate_interface, CheckProbe, Guard};
+use crate::checks::{validate_interface, CheckProbe, Guard, SpecBase};
 use crate::partial::PartialCircuit;
 use crate::report::{CheckError, CheckOutcome, CheckSettings, Counterexample, Method, Verdict};
 use crate::symbolic::{PartialSymbolic, SymbolicContext};
 use bbec_bdd::{Bdd, BudgetExceeded, Cube};
 use bbec_netlist::Circuit;
+use std::time::{Duration, Instant};
 
-/// Shared preamble of the Z_i checks: both function vectors plus the
-/// per-check resource probe and protection guard. Borrows the context so a
-/// [`crate::CheckSession`] can amortise the specification BDDs over many
-/// checks.
-pub(crate) struct ZiSetup<'a> {
-    ctx: &'a mut SymbolicContext,
-    spec_bdds: &'a [Bdd],
+/// Shared preamble of the Z_i checks: a context holding both function
+/// vectors — the spec's `f_j` and the partial's Z_i simulation `g_j` —
+/// plus the resource probe armed before the Z_i build and the check's
+/// protection guard. A ladder builds one per run and forks it per rung.
+pub(crate) struct ZiSetup {
+    ctx: SymbolicContext,
+    spec_bdds: Vec<Bdd>,
     sym: PartialSymbolic,
     impl_nodes: usize,
     probe: CheckProbe,
     guard: Guard,
+    /// Wall-clock time of the Z_i build, which a check's time-limit
+    /// window includes.
+    build_time: Duration,
 }
 
-/// One-shot variant: fresh context and spec BDDs per call.
-struct OwnedSetup {
-    ctx: SymbolicContext,
-    spec_bdds: Vec<Bdd>,
-}
+impl ZiSetup {
+    /// Runs the Z_i simulation of `partial` on top of a spec base, under
+    /// a fresh budget window that the later check body shares.
+    pub(crate) fn build(
+        base: SpecBase,
+        spec: &Circuit,
+        partial: &PartialCircuit,
+    ) -> Result<ZiSetup, CheckError> {
+        validate_interface(spec, partial)?;
+        let SpecBase { mut ctx, spec_bdds } = base;
+        let probe = CheckProbe::begin(&mut ctx);
+        let started = Instant::now();
+        let sym = match ctx.build_partial(partial) {
+            Ok(sym) => sym,
+            // The simulator released its own protections; attach partial stats.
+            Err(e) => return Err(probe.annotate(&ctx, e)),
+        };
+        let impl_nodes = ctx.manager.node_count_many(&sym.outputs);
+        let build_time = started.elapsed();
+        Ok(ZiSetup { ctx, spec_bdds, sym, impl_nodes, probe, guard: Guard::new(), build_time })
+    }
 
-fn owned_setup(spec: &Circuit, settings: &CheckSettings) -> Result<OwnedSetup, CheckError> {
-    let mut ctx = SymbolicContext::new(spec, settings);
-    let probe = CheckProbe::begin(&mut ctx);
-    let spec_bdds = match ctx.build_outputs(spec) {
-        Ok(b) => b,
-        Err(e) => return Err(probe.annotate(&ctx, e)),
-    };
-    Ok(OwnedSetup { ctx, spec_bdds })
-}
+    /// An independent copy, for a check that must leave this one intact.
+    /// Only meaningful before a check body ran (the guard starts empty).
+    ///
+    /// The copy's stats include the Z_i build, as a one-shot check's do.
+    /// The tracer is sent the build once: by the first copy handed out,
+    /// or by this setup if it is never forked.
+    pub(crate) fn fork(&mut self) -> ZiSetup {
+        let copy = ZiSetup {
+            ctx: self.ctx.fork(),
+            spec_bdds: self.spec_bdds.clone(),
+            sym: self.sym.clone(),
+            impl_nodes: self.impl_nodes,
+            probe: self.probe.clone(),
+            guard: Guard::new(),
+            build_time: self.build_time,
+        };
+        self.probe.mark_traced(&self.ctx);
+        copy
+    }
 
-pub(crate) fn setup_in<'a>(
-    ctx: &'a mut SymbolicContext,
-    spec_bdds: &'a [Bdd],
-    spec: &Circuit,
-    partial: &PartialCircuit,
-) -> Result<ZiSetup<'a>, CheckError> {
-    validate_interface(spec, partial)?;
-    let probe = CheckProbe::begin(ctx);
-    let sym = match ctx.build_partial(partial) {
-        Ok(sym) => sym,
-        // The simulator released its own protections; attach partial stats.
-        Err(e) => return Err(probe.annotate(ctx, e)),
-    };
-    let impl_nodes = ctx.manager.node_count_many(&sym.outputs);
-    Ok(ZiSetup { ctx, spec_bdds, sym, impl_nodes, probe, guard: Guard::new() })
-}
+    /// Readies a setup handed to the rung that started at `rung_start`,
+    /// possibly long after the build: the rung's wall clock starts no
+    /// earlier than `rung_start` (see [`CheckProbe::clock_from`]), and its
+    /// time-limit window restarts as if the build had just finished, so the
+    /// check body gets the same time as after a fresh build.
+    pub(crate) fn start_rung(&mut self, rung_start: Instant) {
+        self.probe.clock_from(rung_start);
+        self.ctx.restart_time_window(self.build_time);
+    }
 
-impl ZiSetup<'_> {
+    /// The deadline the check body runs under.
+    #[cfg(test)]
+    pub(crate) fn deadline(&self) -> Option<Instant> {
+        self.ctx.manager.budget().and_then(|b| b.deadline)
+    }
+
+    /// Runs one Z_i check body: [`Method::Local`], [`Method::OutputExact`]
+    /// or [`Method::InputExact`].
+    pub(crate) fn run(
+        mut self,
+        method: Method,
+        spec: &Circuit,
+        partial: &PartialCircuit,
+    ) -> Result<CheckOutcome, CheckError> {
+        let body = match method {
+            Method::Local => local_body(&mut self),
+            Method::OutputExact => output_exact_body(&mut self),
+            Method::InputExact => input_exact_body(&mut self, partial).map(|v| (v, None)),
+            other => {
+                return Err(CheckError::InvalidPartial(format!(
+                    "method {other} is not a Z_i check"
+                )))
+            }
+        };
+        match body {
+            Ok((verdict, cex)) => {
+                // Release the check's protections before surfacing a
+                // rejected witness, so the context stays leak-free.
+                let reject = cex
+                    .as_ref()
+                    .and_then(|c| crate::cex::validate_counterexample(spec, partial, c).err());
+                let outcome = self.finish(method, verdict, cex);
+                match reject {
+                    Some(detail) => Err(CheckError::CounterexampleRejected { method, detail }),
+                    None => Ok(outcome),
+                }
+            }
+            Err(e) => Err(self.abort(e)),
+        }
+    }
+
     fn finish(
-        self,
+        mut self,
         method: Method,
         verdict: Verdict,
         counterexample: Option<Counterexample>,
     ) -> CheckOutcome {
-        let ZiSetup { ctx, probe, guard, impl_nodes, .. } = self;
-        let stats = probe.stats(ctx, impl_nodes);
-        guard.release_all(ctx);
+        let stats = self.probe.stats(&self.ctx, self.impl_nodes);
+        self.guard.release_all(&mut self.ctx);
         CheckOutcome { method, verdict, counterexample, stats }
     }
 
     /// Converts a mid-check budget abort, releasing this check's
     /// protections and attaching the partial statistics.
-    fn abort(self, e: BudgetExceeded) -> CheckError {
-        let ZiSetup { ctx, probe, guard, .. } = self;
-        probe.abort(ctx, guard, e)
+    fn abort(mut self, e: BudgetExceeded) -> CheckError {
+        self.probe.abort(&mut self.ctx, self.guard, e)
     }
+}
+
+/// One-shot Z_i check: fresh context, spec BDDs and Z_i simulation.
+fn one_shot(
+    method: Method,
+    spec: &Circuit,
+    partial: &PartialCircuit,
+    settings: &CheckSettings,
+) -> Result<CheckOutcome, CheckError> {
+    ZiSetup::build(SpecBase::build(spec, settings)?, spec, partial)?.run(method, spec, partial)
 }
 
 /// The **local check** (Lemma 2.1): for each output `j` separately, report
@@ -92,39 +163,12 @@ pub fn local_check(
     partial: &PartialCircuit,
     settings: &CheckSettings,
 ) -> Result<CheckOutcome, CheckError> {
-    let mut owned = owned_setup(spec, settings)?;
-    local_check_with(&mut owned.ctx, &owned.spec_bdds, spec, partial)
-}
-
-pub(crate) fn local_check_with(
-    ctx: &mut SymbolicContext,
-    spec_bdds: &[Bdd],
-    spec: &Circuit,
-    partial: &PartialCircuit,
-) -> Result<CheckOutcome, CheckError> {
-    let mut s = setup_in(ctx, spec_bdds, spec, partial)?;
-    match local_body(&mut s) {
-        Ok((verdict, cex)) => {
-            // Release the setup's protections before surfacing a rejected
-            // witness, so a session context stays leak-free on this path.
-            let reject = cex
-                .as_ref()
-                .and_then(|c| crate::cex::validate_counterexample(spec, partial, c).err());
-            let outcome = s.finish(Method::Local, verdict, cex);
-            match reject {
-                Some(detail) => {
-                    Err(CheckError::CounterexampleRejected { method: Method::Local, detail })
-                }
-                None => Ok(outcome),
-            }
-        }
-        Err(e) => Err(s.abort(e)),
-    }
+    one_shot(Method::Local, spec, partial, settings)
 }
 
 fn local_body(s: &mut ZiSetup) -> Result<(Verdict, Option<Counterexample>), BudgetExceeded> {
     let zcube = Cube::try_from_vars(&mut s.ctx.manager, &s.sym.all_z_vars)?;
-    s.guard.keep(s.ctx, zcube.as_bdd());
+    s.guard.keep(&mut s.ctx, zcube.as_bdd());
     let tracer = s.ctx.tracer().clone();
     for j in 0..s.spec_bdds.len() {
         let span = tracer.span("core.local_output");
@@ -182,37 +226,12 @@ pub fn output_exact(
     partial: &PartialCircuit,
     settings: &CheckSettings,
 ) -> Result<CheckOutcome, CheckError> {
-    let mut owned = owned_setup(spec, settings)?;
-    output_exact_with(&mut owned.ctx, &owned.spec_bdds, spec, partial)
-}
-
-pub(crate) fn output_exact_with(
-    ctx: &mut SymbolicContext,
-    spec_bdds: &[Bdd],
-    spec: &Circuit,
-    partial: &PartialCircuit,
-) -> Result<CheckOutcome, CheckError> {
-    let mut s = setup_in(ctx, spec_bdds, spec, partial)?;
-    match output_exact_body(&mut s) {
-        Ok((verdict, cex)) => {
-            let reject = cex
-                .as_ref()
-                .and_then(|c| crate::cex::validate_counterexample(spec, partial, c).err());
-            let outcome = s.finish(Method::OutputExact, verdict, cex);
-            match reject {
-                Some(detail) => {
-                    Err(CheckError::CounterexampleRejected { method: Method::OutputExact, detail })
-                }
-                None => Ok(outcome),
-            }
-        }
-        Err(e) => Err(s.abort(e)),
-    }
+    one_shot(Method::OutputExact, spec, partial, settings)
 }
 
 fn output_exact_body(s: &mut ZiSetup) -> Result<(Verdict, Option<Counterexample>), BudgetExceeded> {
     let zcube = Cube::try_from_vars(&mut s.ctx.manager, &s.sym.all_z_vars)?;
-    s.guard.keep(s.ctx, zcube.as_bdd());
+    s.guard.keep(&mut s.ctx, zcube.as_bdd());
     let cond = try_joint_condition(s)?;
     // No error iff ∀X ∃Z cond — i.e. ∃Z cond is a tautology over X.
     let sat_exists = s.ctx.manager.try_exists(cond, zcube)?;
@@ -247,26 +266,12 @@ pub fn input_exact(
     partial: &PartialCircuit,
     settings: &CheckSettings,
 ) -> Result<CheckOutcome, CheckError> {
-    let mut owned = owned_setup(spec, settings)?;
-    input_exact_with(&mut owned.ctx, &owned.spec_bdds, spec, partial)
-}
-
-pub(crate) fn input_exact_with(
-    ctx: &mut SymbolicContext,
-    spec_bdds: &[Bdd],
-    spec: &Circuit,
-    partial: &PartialCircuit,
-) -> Result<CheckOutcome, CheckError> {
-    let mut s = setup_in(ctx, spec_bdds, spec, partial)?;
-    match input_exact_body(&mut s, partial) {
-        Ok(verdict) => Ok(s.finish(Method::InputExact, verdict, None)),
-        Err(e) => Err(s.abort(e)),
-    }
+    one_shot(Method::InputExact, spec, partial, settings)
 }
 
 fn input_exact_body(s: &mut ZiSetup, partial: &PartialCircuit) -> Result<Verdict, BudgetExceeded> {
     let cond = try_joint_condition(s)?;
-    s.guard.keep(s.ctx, cond);
+    s.guard.keep(&mut s.ctx, cond);
 
     // Fresh variables for every box input pin.
     let mut i_vars_by_box = Vec::new();
@@ -292,7 +297,7 @@ fn input_exact_body(s: &mut ZiSetup, partial: &PartialCircuit) -> Result<Verdict
             let fun = s.sym.signal_bdds[sig.index()].expect("box inputs are driven or box outputs");
             let ivar = s.ctx.manager.var(i_vars_by_box[bi][k]);
             let eq = s.ctx.manager.try_xnor(ivar, fun)?;
-            s.guard.keep(s.ctx, eq);
+            s.guard.keep(&mut s.ctx, eq);
             factor_support.push(
                 s.ctx
                     .manager
@@ -319,23 +324,23 @@ fn input_exact_body(s: &mut ZiSetup, partial: &PartialCircuit) -> Result<Verdict
         let ncond = s.ctx.manager.try_not(cond)?;
         let cube = Cube::try_from_vars(&mut s.ctx.manager, &immediate)?;
         let r = s.ctx.manager.try_exists(ncond, cube)?;
-        s.guard.keep(s.ctx, r)
+        s.guard.keep(&mut s.ctx, r)
     };
     s.ctx.manager.maybe_reorder();
     for (fi, &eq) in factors.iter().enumerate() {
         let ready: Vec<_> = input_vars.iter().copied().filter(|v| last_use[v] == fi).collect();
         let cube = Cube::try_from_vars(&mut s.ctx.manager, &ready)?;
         let next = s.ctx.manager.try_and_exists(acc, eq, cube)?;
-        s.guard.keep(s.ctx, next);
-        s.guard.drop_one(s.ctx, acc);
-        s.guard.drop_one(s.ctx, eq);
+        s.guard.keep(&mut s.ctx, next);
+        s.guard.drop_one(&mut s.ctx, acc);
+        s.guard.drop_one(&mut s.ctx, eq);
         acc = next;
         s.ctx.manager.maybe_reorder();
     }
     let mut result = {
         let r = s.ctx.manager.try_not(acc)?;
-        s.guard.keep(s.ctx, r);
-        s.guard.drop_one(s.ctx, acc);
+        s.guard.keep(&mut s.ctx, r);
+        s.guard.drop_one(&mut s.ctx, acc);
         r
     };
     s.ctx.manager.maybe_reorder();
@@ -343,12 +348,12 @@ fn input_exact_body(s: &mut ZiSetup, partial: &PartialCircuit) -> Result<Verdict
     for bi in (0..partial.boxes().len()).rev() {
         let o_cube = Cube::try_from_vars(&mut s.ctx.manager, &s.sym.z_vars_by_box[bi])?;
         let after_o = s.ctx.manager.try_exists(result, o_cube)?;
-        s.guard.keep(s.ctx, after_o);
-        s.guard.drop_one(s.ctx, result);
+        s.guard.keep(&mut s.ctx, after_o);
+        s.guard.drop_one(&mut s.ctx, result);
         let i_cube = Cube::try_from_vars(&mut s.ctx.manager, &i_vars_by_box[bi])?;
         let after_i = s.ctx.manager.try_forall(after_o, i_cube)?;
-        s.guard.keep(s.ctx, after_i);
-        s.guard.drop_one(s.ctx, after_o);
+        s.guard.keep(&mut s.ctx, after_i);
+        s.guard.drop_one(&mut s.ctx, after_o);
         result = after_i;
         s.ctx.manager.maybe_reorder();
     }

@@ -68,6 +68,12 @@ pub struct Counterexample {
 
 /// Resource usage of one check, in the units of the paper's tables, plus
 /// the resource governor's per-check operation telemetry.
+///
+/// Inside a [`crate::checks::CheckLadder`] the Z_i rungs share one Z_i
+/// build. Every field but `duration` still costs each rung as if it had
+/// run alone, build included, so it equals the free function's. `duration`
+/// is the rung's own wall-clock time: the build counts only in the rung
+/// that ran it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceStats {
     /// BDD nodes representing the partial implementation (columns 10–13).
@@ -139,6 +145,9 @@ pub struct CheckSettings {
     /// Abort a BDD-based check after this much wall-clock time
     /// (`None` = unbounded). Each check (ladder rung) gets a fresh window
     /// of this length; to bound a whole run use [`CheckSettings::deadline`].
+    /// A Z_i check's window includes its Z_i build; a ladder rung handed a
+    /// build shared with earlier rungs gets the rest of the window as if it
+    /// had just built it itself.
     pub time_limit: Option<Duration>,
     /// Absolute wall-clock deadline for the whole run (`None` = unbounded).
     /// Unlike `time_limit`, this is *not* re-armed per check window, so it

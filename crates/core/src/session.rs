@@ -4,24 +4,20 @@
 //! The experiment pattern of the paper — one specification, hundreds of
 //! error insertions, a check per insertion — rebuilds the specification
 //! BDDs from scratch on every call when using the free functions in
-//! [`crate::checks`]. A [`CheckSession`] keeps one [`SymbolicContext`]
-//! alive instead.
+//! [`crate::checks`]. A [`CheckSession`] builds them once into a base
+//! context and runs every check on a fork of it
+//! ([`SymbolicContext::fork`](crate::SymbolicContext::fork)).
 //!
-//! Each checked partial implementation permanently adds its `Z` (and, for
-//! the input-exact check, `I`) variables to the shared manager, so the
-//! session transparently *refreshes* — rebuilds the context and the
-//! specification BDDs — once the variable count grows past a budget. A
-//! budget-aborted check, by contrast, needs **no** refresh: the aborted
-//! check's intermediates are unprotected and a garbage collection reclaims
-//! them, while the specification BDDs stay protected in the same manager.
+//! A fork is an exact copy, so each check starts from the state a fresh
+//! one-shot check would have after its specification build: same nodes,
+//! same variables, same budget window. Nothing a check adds — its `Z` and
+//! `I` variables, its intermediates, the protections of its Z_i
+//! simulation, a budget abort's leftovers — reaches the base, so every
+//! check sees the same node budget and the base never needs rebuilding.
 
-use crate::checks::{
-    self, input_exact_with, local_check_with, output_exact_with, symbolic_01x_with, CheckProbe,
-};
+use crate::checks::{self, symbolic_01x_with, SpecBase, ZiSetup};
 use crate::partial::PartialCircuit;
 use crate::report::{CheckError, CheckOutcome, CheckSettings, Method};
-use crate::symbolic::SymbolicContext;
-use bbec_bdd::Bdd;
 use bbec_netlist::Circuit;
 
 /// Reusable checking state for one specification.
@@ -29,11 +25,7 @@ use bbec_netlist::Circuit;
 pub struct CheckSession {
     spec: Circuit,
     settings: CheckSettings,
-    ctx: SymbolicContext,
-    spec_bdds: Vec<Bdd>,
-    /// Variable head-room before a refresh (beyond the primary inputs).
-    var_budget: usize,
-    refreshes: usize,
+    base: SpecBase,
 }
 
 impl CheckSession {
@@ -48,20 +40,8 @@ impl CheckSession {
         // With sweeping on, the spec is reduced once, before its BDDs are
         // built; each checked partial is swept per call in `check`.
         let spec = if settings.sweep { bbec_netlist::strash::sweep(&spec).circuit } else { spec };
-        let (ctx, spec_bdds) = Self::fresh(&spec, &settings)?;
-        Ok(CheckSession { spec, settings, ctx, spec_bdds, var_budget: 512, refreshes: 0 })
-    }
-
-    fn fresh(
-        spec: &Circuit,
-        settings: &CheckSettings,
-    ) -> Result<(SymbolicContext, Vec<Bdd>), CheckError> {
-        let mut ctx = SymbolicContext::new(spec, settings);
-        let probe = CheckProbe::begin(&mut ctx);
-        match ctx.build_outputs(spec) {
-            Ok(spec_bdds) => Ok((ctx, spec_bdds)),
-            Err(e) => Err(probe.annotate(&ctx, e)),
-        }
+        let base = SpecBase::build(&spec, &settings)?;
+        Ok(CheckSession { spec, settings, base })
     }
 
     /// The checked specification.
@@ -71,12 +51,7 @@ impl CheckSession {
 
     /// BDD nodes of the specification (the paper's column 4).
     pub fn spec_node_count(&self) -> usize {
-        self.ctx.manager.node_count_many(&self.spec_bdds)
-    }
-
-    /// How often the session rebuilt its context (diagnostic).
-    pub fn refreshes(&self) -> usize {
-        self.refreshes
+        self.base.ctx.manager.node_count_many(&self.base.spec_bdds)
     }
 
     /// Runs one BDD-based check against a partial implementation.
@@ -89,9 +64,7 @@ impl CheckSession {
     /// # Errors
     ///
     /// The underlying check's errors. A [`CheckError::BudgetExceeded`]
-    /// leaves the session usable as-is — the aborted check released its
-    /// protections, so a garbage collection reclaims its intermediates and
-    /// the next check proceeds against the same specification BDDs.
+    /// leaves the session as it was: the check ran on a fork.
     pub fn check(
         &mut self,
         partial: &PartialCircuit,
@@ -109,44 +82,20 @@ impl CheckSession {
         partial: &PartialCircuit,
         method: Method,
     ) -> Result<CheckOutcome, CheckError> {
-        if method == Method::RandomPatterns {
-            return checks::random_patterns(&self.spec, partial, &self.settings);
-        }
-        self.maybe_refresh()?;
-        let ctx = &mut self.ctx;
-        let spec_bdds = &self.spec_bdds;
         let spec = &self.spec;
-        let result = match method {
-            Method::Symbolic01X => symbolic_01x_with(ctx, spec_bdds, spec, partial),
-            Method::Local => local_check_with(ctx, spec_bdds, spec, partial),
-            Method::OutputExact => output_exact_with(ctx, spec_bdds, spec, partial),
-            Method::InputExact => input_exact_with(ctx, spec_bdds, spec, partial),
+        match method {
+            Method::RandomPatterns => checks::random_patterns(spec, partial, &self.settings),
+            Method::Symbolic01X => {
+                let mut fork = self.base.fork();
+                symbolic_01x_with(&mut fork.ctx, &fork.spec_bdds, spec, partial)
+            }
+            Method::Local | Method::OutputExact | Method::InputExact => {
+                ZiSetup::build(self.base.fork(), spec, partial)?.run(method, spec, partial)
+            }
             other => {
                 Err(CheckError::InvalidPartial(format!("method {other} is not session-managed")))
             }
-        };
-        if matches!(result, Err(CheckError::BudgetExceeded(_))) {
-            // The aborted check's intermediates are unprotected; reclaim
-            // them now so they don't count against the next check's node
-            // budget. No refresh — the spec BDDs are still protected.
-            self.ctx.manager.collect_garbage();
         }
-        result
-    }
-
-    fn maybe_refresh(&mut self) -> Result<(), CheckError> {
-        if self.ctx.manager.var_count() > self.spec.inputs().len() + self.var_budget {
-            self.force_refresh()?;
-        }
-        Ok(())
-    }
-
-    fn force_refresh(&mut self) -> Result<(), CheckError> {
-        let (ctx, spec_bdds) = Self::fresh(&self.spec, &self.settings)?;
-        self.ctx = ctx;
-        self.spec_bdds = spec_bdds;
-        self.refreshes += 1;
-        Ok(())
     }
 }
 
@@ -201,17 +150,41 @@ mod tests {
     }
 
     #[test]
-    fn session_refreshes_on_variable_bloat() {
+    fn session_base_var_count_never_grows() {
         let spec = generators::ripple_carry_adder(3);
         let mut session = CheckSession::new(spec.clone(), settings()).unwrap();
-        session.var_budget = 8; // force frequent refreshes
+        let vars = session.base.ctx.manager.var_count();
+        assert_eq!(vars, spec.inputs().len(), "the base holds the input variables only");
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..12 {
             let partial = PartialCircuit::random_black_boxes(&spec, 0.2, 2, &mut rng).unwrap();
-            let out = session.check(&partial, Method::InputExact).unwrap();
-            assert_eq!(out.verdict, Verdict::NoErrorFound, "boxed spec is completable");
+            for method in [Method::Symbolic01X, Method::OutputExact, Method::InputExact] {
+                let out = session.check(&partial, method).unwrap();
+                assert_eq!(out.verdict, Verdict::NoErrorFound, "boxed spec is completable");
+                assert_eq!(session.base.ctx.manager.var_count(), vars, "{method} grew the base");
+            }
         }
-        assert!(session.refreshes() > 0, "var budget should have forced refreshes");
+    }
+
+    /// Checks used to run in the session's one shared manager, so each
+    /// Z_i simulation left its protected signals and `Z` projections
+    /// behind, and the node budget of every later check counted them.
+    #[test]
+    fn node_budget_is_the_same_for_every_check() {
+        let spec = generators::magnitude_comparator(8);
+        let mut rng = StdRng::seed_from_u64(4);
+        let partial = PartialCircuit::random_black_boxes(&spec, 0.3, 1, &mut rng).unwrap();
+        let s = CheckSettings { node_limit: Some(1_050), ..settings() };
+        let free = checks::output_exact(&spec, &partial, &s).unwrap();
+        let mut session = CheckSession::new(spec, s).unwrap();
+        for k in 0..6 {
+            let out = session
+                .check(&partial, Method::OutputExact)
+                .unwrap_or_else(|e| panic!("check {k} of the same pair failed: {e}"));
+            assert_eq!(out.verdict, free.verdict, "check {k}");
+            assert_eq!(out.stats.apply_steps, free.stats.apply_steps, "check {k}");
+            assert_eq!(out.stats.peak_check_nodes, free.stats.peak_check_nodes, "check {k}");
+        }
     }
 
     #[test]
@@ -256,7 +229,6 @@ mod tests {
             assert!(ok.is_ok() || matches!(ok, Err(CheckError::BudgetExceeded(_))));
         }
         assert!(aborted > 0, "node budget should have fired at least once");
-        assert_eq!(session.refreshes(), 0, "budget aborts must not force refreshes");
         Ok(())
     }
 

@@ -134,6 +134,23 @@ impl SymbolicContext {
         ctx
     }
 
+    /// An independent copy of this context in its current state: the
+    /// manager is a [`BddManager::fork`], so every handle built so far
+    /// stays valid in the copy and the copy's operations run exactly as
+    /// they would have on this context. Budget settings and the warm pool
+    /// carry over; nothing is re-armed.
+    pub fn fork(&mut self) -> SymbolicContext {
+        SymbolicContext {
+            manager: self.manager.fork(),
+            input_vars: self.input_vars.clone(),
+            node_limit: self.node_limit,
+            step_limit: self.step_limit,
+            time_limit: self.time_limit,
+            deadline: self.deadline,
+            pool: self.pool.clone(),
+        }
+    }
+
     /// (Re-)arms the resource governor: opens a fresh step window and, when
     /// a time limit is configured, starts its deadline **now**. Checks call
     /// this at the start of each run so every check gets the full budget.
@@ -152,16 +169,31 @@ impl SymbolicContext {
             self.manager.set_budget(None);
             return;
         }
-        let window_deadline = self.time_limit.map(|d| Instant::now() + d);
-        let deadline = match (window_deadline, self.deadline) {
-            (Some(w), Some(g)) => Some(w.min(g)),
-            (w, g) => w.or(g),
-        };
         self.manager.set_budget(Some(Budget {
             max_live_nodes: self.node_limit,
             max_steps: self.step_limit,
-            deadline,
+            deadline: self.window_deadline(Duration::ZERO),
         }));
+    }
+
+    /// Restarts the time-limit window as if it had been armed `spent` ago,
+    /// keeping the step window: a check handed a fork of a build made
+    /// earlier gets the window it would have had right after building it
+    /// itself. Without a time limit the deadline is left as it is.
+    pub(crate) fn restart_time_window(&mut self, spent: Duration) {
+        if self.time_limit.is_some() {
+            self.manager.set_deadline(self.window_deadline(spent));
+        }
+    }
+
+    /// The earliest of the time-limit window (armed `spent` ago) and the
+    /// run-wide deadline.
+    fn window_deadline(&self, spent: Duration) -> Option<Instant> {
+        let window = self.time_limit.map(|d| Instant::now() + d.saturating_sub(spent));
+        match (window, self.deadline) {
+            (Some(w), Some(g)) => Some(w.min(g)),
+            (w, g) => w.or(g),
+        }
     }
 
     /// The BDD variable of each primary input, in declaration order.

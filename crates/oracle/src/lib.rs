@@ -20,6 +20,8 @@
 //! - [`fixture`]: replayable BLIF pair serialisation (`_spec.blif` +
 //!   `_impl.blif` with `# bbec-box` metadata comments).
 //! - [`fuzz`]: the budgeted loop behind `bbec fuzz`.
+//! - [`scalar`]: the scalar reference implementation of the
+//!   random-pattern rung, the differential baseline of the packed engine.
 //! - [`bddfuzz`]: one level down — differential fuzzing of the BDD package
 //!   itself (random operator sequences vs an exhaustive truth table),
 //!   behind `bbec fuzz --bdd`.
@@ -30,6 +32,7 @@ pub mod fuzz;
 pub mod generate;
 pub mod harness;
 pub mod oracle;
+pub mod scalar;
 pub mod shrink;
 
 pub use bddfuzz::{run_bdd_fuzz, BddFuzzConfig, BddFuzzSummary, BddFuzzViolation};

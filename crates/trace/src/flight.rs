@@ -38,7 +38,7 @@ pub struct FlightOp {
 }
 
 /// A fixed-capacity ring buffer of [`FlightOp`]s (capacity 0 = disabled).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct FlightRecorder {
     ops: Vec<FlightOp>,
     /// Index of the next slot to overwrite once the ring is full.

@@ -11,6 +11,7 @@
 use bbec::core::{checks, CheckSettings, PartialCircuit, Verdict};
 use bbec::netlist::{generators, Circuit, Mutation};
 use bbec::oracle::fixture::read_pair;
+use bbec::oracle::scalar::random_patterns_scalar;
 use std::path::PathBuf;
 
 fn settings() -> CheckSettings {
@@ -21,7 +22,7 @@ fn assert_invariant(name: &str, spec: &Circuit, partial: &PartialCircuit) {
     let s = settings();
     let packed = checks::random_patterns(spec, partial, &s)
         .unwrap_or_else(|e| panic!("{name}: packed rung failed: {e}"));
-    let scalar = checks::random_patterns_scalar(spec, partial, &s)
+    let scalar = random_patterns_scalar(spec, partial, &s)
         .unwrap_or_else(|e| panic!("{name}: scalar rung failed: {e}"));
     assert_eq!(packed.verdict, scalar.verdict, "{name}: packed and scalar rung verdicts differ");
     // On an error both engines see the same stream, so the first erring
