@@ -107,7 +107,7 @@ fn manager_survives_mid_ite_budget_exhaustion() {
     let vars = m.new_vars(20);
     let lits: Vec<Bdd> = vars.iter().map(|&v| m.var(v)).collect();
 
-    // "Spec" BDDs, protected like CheckSession's output functions.
+    // "Spec" BDDs, protected like a check's specification outputs.
     let parity = m.xor_many(&lits[..8]);
     let majority3 = {
         let ab = m.and(lits[0], lits[1]);

@@ -97,6 +97,14 @@ impl StageResult {
         }
     }
 
+    /// Resources the rung consumed, when recorded (always, if it finished).
+    pub fn stats(&self) -> Option<ResourceStats> {
+        match self {
+            StageResult::Finished(o) => Some(o.stats),
+            StageResult::BudgetExceeded { stats, .. } => *stats,
+        }
+    }
+
     /// Whether this rung ran out of budget.
     pub fn is_budget_exceeded(&self) -> bool {
         matches!(self, StageResult::BudgetExceeded { .. })

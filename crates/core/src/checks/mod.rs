@@ -72,7 +72,7 @@ pub fn validate_interface(spec: &Circuit, partial: &PartialCircuit) -> Result<()
 
 /// A context holding the specification's output BDDs `f_j`: what every
 /// BDD-based check builds first. A ladder builds it once and forks it per
-/// rung; a [`crate::CheckSession`] keeps one and forks it per check.
+/// rung.
 #[derive(Debug)]
 pub(crate) struct SpecBase {
     pub(crate) ctx: SymbolicContext,

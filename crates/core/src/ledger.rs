@@ -25,7 +25,7 @@
 
 use crate::checks::{LadderReport, StageResult};
 use crate::partial::PartialCircuit;
-use crate::report::{CheckSettings, Method, Verdict};
+use crate::report::{CheckOutcome, CheckSettings, Method};
 use bbec_netlist::Circuit;
 use bbec_trace::json::{self, ObjectWriter, Value};
 use bbec_trace::HostMeta;
@@ -191,15 +191,11 @@ pub struct RungRecord {
 
 impl RungRecord {
     pub(crate) fn from_stage(stage: &StageResult) -> RungRecord {
-        let (finished, error_found, stats) = match stage {
-            StageResult::Finished(o) => (true, o.is_error(), Some(o.stats)),
-            StageResult::BudgetExceeded { stats, .. } => (false, false, *stats),
-        };
-        let stats = stats.unwrap_or_default();
+        let stats = stage.stats().unwrap_or_default();
         RungRecord {
             method: stage.method().label().to_string(),
-            finished,
-            error_found,
+            finished: !stage.is_budget_exceeded(),
+            error_found: stage.outcome().is_some_and(CheckOutcome::is_error),
             wall_ms: stage.elapsed().as_millis() as u64,
             apply_steps: stats.apply_steps,
             peak_nodes: stats.peak_check_nodes as u64,
@@ -267,10 +263,7 @@ impl RunRecord {
             settings_key,
             label: label.to_string(),
             tool: "check".to_string(),
-            verdict: match report.verdict() {
-                Verdict::ErrorFound => "error_found".to_string(),
-                Verdict::NoErrorFound => "no_error_found".to_string(),
-            },
+            verdict: report.verdict().as_str().to_string(),
             wall_ms,
             jobs,
             unix_ms: std::time::SystemTime::now()

@@ -42,7 +42,7 @@ use crate::report::{
     CheckError, CheckOutcome, CheckSettings, Counterexample, Method, ResourceStats, Verdict,
 };
 use bbec_netlist::Circuit;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// One unit of sharded work: a group of outputs with overlapping cones and
@@ -108,6 +108,24 @@ impl ParallelChecker {
         spec: &Circuit,
         partial: &PartialCircuit,
     ) -> Result<LadderReport, CheckError> {
+        Ok(self.run_reusing(spec, partial, |_, _| None)?.0)
+    }
+
+    /// [`ParallelChecker::run`] with per-shard report reuse. `reuse` is
+    /// asked once per planned shard, in shard order, before any shard
+    /// runs; a shard it answers is merged from that report instead of
+    /// running. Also returns the reports of the shards that did run, with
+    /// their shard index (the service fills its cone cache from them).
+    ///
+    /// # Errors
+    ///
+    /// As [`ParallelChecker::run`].
+    pub(crate) fn run_reusing(
+        &self,
+        spec: &Circuit,
+        partial: &PartialCircuit,
+        mut reuse: impl FnMut(usize, &Shard) -> Option<LadderReport>,
+    ) -> Result<(LadderReport, Vec<(usize, LadderReport)>), CheckError> {
         crate::checks::validate_interface(spec, partial)?;
         let pre;
         let (spec, partial) = if self.settings.sweep {
@@ -122,11 +140,18 @@ impl ParallelChecker {
             self.stages.iter().copied().filter(|&m| !Self::is_per_output(m)).collect();
 
         let mut stages: Vec<StageResult> = Vec::new();
+        let mut fresh = Vec::new();
         let mut error_found = false;
         if !phase_a.is_empty() {
             let shards = plan_shards(spec, partial)?;
             if !shards.is_empty() {
-                error_found = self.run_sharded(spec, partial, &shards, &phase_a, &mut stages)?;
+                let reused: Vec<Option<LadderReport>> =
+                    shards.iter().enumerate().map(|(i, shard)| reuse(i, shard)).collect();
+                let ran: Vec<bool> = reused.iter().map(Option::is_none).collect();
+                let reports = self.run_sharded(&shards, &phase_a, reused)?;
+                error_found =
+                    merge_shard_reports(spec, partial, &shards, &reports, &phase_a, &mut stages)?;
+                fresh = reports.into_iter().enumerate().filter(|&(i, _)| ran[i]).collect();
             }
         }
         if !error_found && !phase_b.is_empty() {
@@ -137,19 +162,17 @@ impl ParallelChecker {
             };
             stages.extend(ladder.run(spec, partial)?.stages);
         }
-        Ok(LadderReport { stages })
+        Ok((LadderReport { stages }, fresh))
     }
 
-    /// Runs the per-output mini-ladder on every shard, merges the results
-    /// into `stages` and reports whether an error stopped the ladder.
+    /// Runs the per-output mini-ladder on every shard whose `reused` entry
+    /// is `None` and returns all shard reports in shard order.
     fn run_sharded(
         &self,
-        spec: &Circuit,
-        partial: &PartialCircuit,
         shards: &[Shard],
         phase_a: &[Method],
-        stages: &mut Vec<StageResult>,
-    ) -> Result<bool, CheckError> {
+        reused: Vec<Option<LadderReport>>,
+    ) -> Result<Vec<LadderReport>, CheckError> {
         let phase_span = self.settings.tracer.span("core.parallel_phase");
         phase_span.set_attr("shards", shards.len());
         let jobs = self.jobs.clamp(1, shards.len());
@@ -177,28 +200,29 @@ impl ParallelChecker {
             })
             .collect();
 
-        let mut reports: Vec<Option<Result<LadderReport, CheckError>>> = Vec::new();
-        if jobs <= 1 {
-            for (shard, ladder) in shards.iter().zip(&ladders) {
-                reports.push(Some(ladder.run(&shard.spec, &shard.partial)));
+        let todo: Vec<usize> = (0..shards.len()).filter(|&i| reused[i].is_none()).collect();
+        let slots: Mutex<Vec<Option<Result<LadderReport, CheckError>>>> =
+            Mutex::new(reused.into_iter().map(|r| r.map(Ok)).collect());
+        // Workers claim shards in order and stop claiming after a failure:
+        // every shard before the first failing one has been claimed and
+        // runs to the end, so that failure is the one the run returns.
+        let (next, failed) = (AtomicUsize::new(0), AtomicBool::new(false));
+        let work = || {
+            while !failed.load(Ordering::SeqCst) {
+                let Some(&i) = todo.get(next.fetch_add(1, Ordering::SeqCst)) else { break };
+                let result = ladders[i].run(&shards[i].spec, &shards[i].partial);
+                failed.fetch_or(result.is_err(), Ordering::SeqCst);
+                slots.lock().unwrap()[i] = Some(result);
             }
+        };
+        if jobs <= 1 {
+            work();
         } else {
-            let next = AtomicUsize::new(0);
-            let slots: Mutex<Vec<Option<Result<LadderReport, CheckError>>>> =
-                Mutex::new((0..shards.len()).map(|_| None).collect());
             std::thread::scope(|scope| {
-                for _ in 0..jobs {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::SeqCst);
-                        if i >= shards.len() {
-                            break;
-                        }
-                        let result = ladders[i].run(&shards[i].spec, &shards[i].partial);
-                        slots.lock().unwrap()[i] = Some(result);
-                    });
+                for _ in 0..jobs.min(todo.len()) {
+                    scope.spawn(work);
                 }
             });
-            reports = slots.into_inner().unwrap();
         }
 
         // Graft every worker's span tree under one parent span per shard,
@@ -212,28 +236,25 @@ impl ParallelChecker {
         }
         drop(phase_span);
 
-        // Unwrap shard results; the first non-budget error (by shard
-        // index) fails the whole run, exactly as in the sequential ladder.
-        let mut shard_reports: Vec<LadderReport> = Vec::with_capacity(reports.len());
-        for r in reports {
-            shard_reports.push(r.expect("every shard was scheduled")?);
-        }
-        merge_shard_reports(spec, partial, shards, &shard_reports, phase_a, stages)
+        // The first non-budget error (by shard index) fails the whole run,
+        // exactly as in the sequential ladder. An unrun shard follows a
+        // failed one, so collecting stops before reaching it.
+        let reports = slots.into_inner().unwrap().into_iter();
+        reports.map(|r| r.expect("shard ran, was reused or follows a failure")).collect()
     }
 }
 
 /// Merges per-shard mini-ladder reports into one stage list per method.
-/// Returns `Ok(true)` when an error stops the ladder. Shared with the
-/// service's incremental re-checker, which feeds it a mix of cached and
-/// freshly computed shard reports — the merge is deterministic in shard
-/// order, so cached and fresh entries are indistinguishable.
+/// Returns `Ok(true)` when an error stops the ladder. Reused and freshly
+/// computed shard reports are merged alike: the merge is deterministic in
+/// shard order, so the two are indistinguishable.
 ///
 /// # Errors
 ///
 /// [`CheckError::CounterexampleRejected`] if a shard witness, lifted to the
 /// parent input space, fails concrete replay against the *full* circuits —
 /// the end-to-end guarantee that sharding and lifting preserved it.
-pub(crate) fn merge_shard_reports(
+fn merge_shard_reports(
     spec: &Circuit,
     partial: &PartialCircuit,
     shards: &[Shard],
@@ -307,14 +328,7 @@ pub(crate) fn merge_shard_reports(
 /// concurrently, so the slowest shard bounds the phase).
 fn merged_stats(entries: &[&StageResult]) -> ResourceStats {
     let mut merged = ResourceStats::default();
-    for e in entries {
-        let s = match e {
-            StageResult::Finished(o) => o.stats,
-            StageResult::BudgetExceeded { stats, .. } => match stats {
-                Some(s) => *s,
-                None => continue,
-            },
-        };
+    for s in entries.iter().filter_map(|e| e.stats()) {
         merged.impl_nodes += s.impl_nodes;
         merged.peak_check_nodes = merged.peak_check_nodes.max(s.peak_check_nodes);
         merged.duration = merged.duration.max(s.duration);

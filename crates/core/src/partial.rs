@@ -105,6 +105,41 @@ impl PartialCircuit {
         self.boxes.iter().map(|b| b.outputs.len()).sum()
     }
 
+    /// Black-boxes a host's undriven signals, the carve for netlists
+    /// without box annotations: one box `BB1` drives them all, or with
+    /// `per_signal` each gets a box `BB<k>` of its own. Every box observes
+    /// all primary inputs, the sound default without pin annotations (it
+    /// can only make the input-exact check more permissive). `Ok(None)`
+    /// when no signal is undriven.
+    ///
+    /// # Errors
+    ///
+    /// As [`PartialCircuit::new`].
+    pub fn carve_undriven(
+        circuit: Circuit,
+        per_signal: bool,
+    ) -> Result<Option<PartialCircuit>, CheckError> {
+        let undriven = circuit.undriven_signals();
+        if undriven.is_empty() {
+            return Ok(None);
+        }
+        let inputs = circuit.inputs().to_vec();
+        let boxes = if per_signal {
+            undriven
+                .iter()
+                .enumerate()
+                .map(|(i, &o)| BlackBox {
+                    name: format!("BB{}", i + 1),
+                    inputs: inputs.clone(),
+                    outputs: vec![o],
+                })
+                .collect()
+        } else {
+            vec![BlackBox { name: "BB1".to_string(), inputs, outputs: undriven }]
+        };
+        PartialCircuit::new(circuit, boxes).map(Some)
+    }
+
     /// Builds a partial implementation by moving one set of gates of a
     /// complete circuit into a single black box.
     ///
@@ -445,6 +480,21 @@ mod tests {
         let b =
             PartialCircuit::random_black_boxes(&c, 0.3, 2, &mut StdRng::seed_from_u64(7)).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn undriven_carves_give_every_box_all_inputs() {
+        let full = generators::ripple_carry_adder(2);
+        let host = PartialCircuit::black_box_gates(&full, &[0, 1]).unwrap().circuit().clone();
+        let undriven = host.undriven_signals().len();
+        assert!(undriven > 1);
+        let one = PartialCircuit::carve_undriven(host.clone(), false).unwrap().unwrap();
+        let split = PartialCircuit::carve_undriven(host.clone(), true).unwrap().unwrap();
+        assert_eq!((one.boxes().len(), split.boxes().len()), (1, undriven));
+        for b in one.boxes().iter().chain(split.boxes()) {
+            assert_eq!(b.inputs, host.inputs(), "box `{}`", b.name);
+        }
+        assert!(PartialCircuit::carve_undriven(full, false).unwrap().is_none());
     }
 
     #[test]

@@ -80,8 +80,8 @@ pub fn preprocess(
 }
 
 /// Sweeps only the partial implementation, protecting and remapping
-/// every box pin. Used by [`crate::CheckSession`], whose specification
-/// is swept once at construction.
+/// every box pin, for callers that sweep their specification once and
+/// check many partial implementations against it.
 ///
 /// # Errors
 ///

@@ -57,6 +57,16 @@ pub enum Verdict {
     NoErrorFound,
 }
 
+impl Verdict {
+    /// The verdict's name in ledger records and service responses.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Verdict::ErrorFound => "error_found",
+            Verdict::NoErrorFound => "no_error_found",
+        }
+    }
+}
+
 /// A distinguishing primary-input assignment, when a check produces one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Counterexample {
@@ -158,8 +168,10 @@ pub struct CheckSettings {
     /// Run the structural-sweeping preprocessor ([`crate::preprocess`])
     /// on the spec/implementation pair before checking. Verdict-invariant
     /// by construction (the sweep preserves ternary functions at every
-    /// kept point); off by default so callers opt in per entry point —
-    /// the CLI enables it unless `--no-sweep` is given.
+    /// kept point); off by default so callers opt in per entry point. The
+    /// CLI leaves it false and sweeps up front itself (unless `--no-sweep`
+    /// is given), so every method benefits; a `bbec serve` request sets it
+    /// with `"sweep":true`.
     pub sweep: bool,
     /// Computed-table (apply/ITE cache) capacity exponent: the cache holds
     /// at most `2^cache_bits` entries and is evicted wholesale when full.

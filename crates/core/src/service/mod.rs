@@ -11,13 +11,12 @@
 //!    instance (even renamed: the hash is structural) answers from memory
 //!    with **zero** BDD work.
 //! 2. **Dirty-cone incremental re-checking** — on a miss, the service
-//!    reuses the [`crate::plan_shards`] cone-of-influence decomposition:
-//!    each output cone is hashed individually, cones whose subcircuits are
-//!    unchanged replay their cached per-cone ladder reports, and only the
-//!    *dirty* cones re-run the per-output rungs. Cached and fresh cone
-//!    reports are merged by the same deterministic
-//!    [`crate::parallel`] merge as the parallel engine, so verdicts and
-//!    counterexamples are bit-identical to a cold run.
+//!    runs [`ParallelChecker`] (one job) with a cone lookup: each
+//!    [`crate::plan_shards`] cone is hashed individually, cones whose
+//!    subcircuits are unchanged replay their cached per-cone ladder
+//!    reports, and only the *dirty* cones re-run the per-output rungs.
+//!    The engine merges cached and fresh cone reports alike, so verdicts
+//!    and counterexamples are bit-identical to a cold run.
 //! 3. **Warm manager pool** — every check draws its BDD manager from a
 //!    [`bbec_bdd::ManagerPool`], which resets (rather than reallocates)
 //!    managers between requests.
@@ -30,8 +29,11 @@
 //!
 //! Observability: each request runs under a `service.request` span (with
 //! `cached`/`cones`/`cones_reused` attributes) and each planned cone gets
-//! a `service.cone` span with a `reused` flag — the incremental property
-//! tests assert *which* cones re-ran straight from the trace. With
+//! a `service.cone` span with a `reused` flag, recorded by the lookup
+//! before any cone runs — the incremental property tests assert *which*
+//! cones re-ran straight from the trace. The cones that do run show up
+//! under the engine's `core.parallel_phase` and `core.parallel_shard`
+//! spans. With
 //! `--ledger`, every request appends a standard run record with tool
 //! `"serve"`.
 
@@ -39,12 +41,12 @@ pub mod cache;
 pub mod protocol;
 pub mod queue;
 
-use crate::checks::{CheckLadder, LadderReport, StageResult};
+use crate::checks::{CheckLadder, StageResult};
 use crate::ledger::{self, RungRecord};
-use crate::parallel::{self, ParallelChecker};
-use crate::partial::{BlackBox, PartialCircuit};
-use crate::report::{CheckError, CheckSettings, Method, Verdict};
-use bbec_netlist::{blif, Circuit, SignalId};
+use crate::parallel::ParallelChecker;
+use crate::partial::PartialCircuit;
+use crate::report::{CheckError, CheckSettings, Method};
+use bbec_netlist::{blif, Circuit};
 use cache::{CacheStats, CachedResult, ResultCache};
 use protocol::{BoxCarve, CheckRequest, CheckResponse, Request, RequestSource, SettingsOverrides};
 use queue::JobQueue;
@@ -350,9 +352,20 @@ impl Service {
             Ok(c) => c,
             Err(e) => return protocol::error_line(id, &format!("implementation: {e}")),
         };
-        let partial = match carve(implementation, req.boxes) {
-            Ok(p) => p,
-            Err(detail) => return protocol::error_line(id, &detail),
+        let partial = match PartialCircuit::carve_undriven(
+            implementation,
+            req.boxes == BoxCarve::PerSignal,
+        ) {
+            Ok(Some(p)) => p,
+            Ok(None) => {
+                return protocol::error_line(
+                    id,
+                    "the implementation has no undriven signals — nothing is black-boxed",
+                )
+            }
+            Err(e) => {
+                return protocol::error_line(id, &format!("invalid partial implementation: {e}"))
+            }
         };
         let settings = self.effective_settings(&req.overrides);
         match self.check_pair(&req.id, &spec, &partial, &settings, req.use_cache) {
@@ -397,7 +410,6 @@ impl Service {
     ) -> Result<CheckResponse, CheckError> {
         let span = s.tracer.span("service.request");
         span.set_attr("id", id);
-        crate::checks::validate_interface(spec, partial)?;
 
         let shash = ledger::settings_hash(s, &self.config.stages);
         let ih = ledger::instance_hash(spec, partial);
@@ -426,114 +438,54 @@ impl Service {
         }
         span.set_attr("cached", false);
 
-        // The cold/incremental path mirrors ParallelChecker::run exactly
-        // (validate → sweep → sharded phase A → joint phase B), so served
-        // verdicts are bit-identical to the parallel engine's.
-        let pre;
-        let (cspec, cpartial) = if s.sweep {
-            pre = crate::preprocess::preprocess(spec, partial, s)?;
-            (&pre.spec, &pre.partial)
-        } else {
-            (spec, partial)
-        };
-        let phase_a: Vec<Method> = self
-            .config
-            .stages
-            .iter()
-            .copied()
-            .filter(|&m| ParallelChecker::is_per_output(m))
-            .collect();
-        let phase_b: Vec<Method> = self
-            .config
-            .stages
-            .iter()
-            .copied()
-            .filter(|&m| !ParallelChecker::is_per_output(m))
-            .collect();
+        // Cone keys hash each shard with the settings of the per-output
+        // rungs only: a cone report is what those rungs produced.
+        let mut phase_a = self.config.stages.clone();
+        phase_a.retain(|&m| ParallelChecker::is_per_output(m));
         let shash_a = ledger::settings_hash(s, &phase_a);
-
-        let mut stages: Vec<StageResult> = Vec::new();
-        let mut error_found = false;
-        let mut fresh_steps: u64 = 0;
-        let mut cones = 0;
+        let checker = ParallelChecker {
+            settings: s.clone(),
+            jobs: 1,
+            stages: self.config.stages.clone(),
+            sat_refinement_budget: self.config.sat_refinement_budget,
+        };
+        let mut keys: Vec<(u64, u64)> = Vec::new();
         let mut cones_reused = 0;
-        if !phase_a.is_empty() {
-            let shards = parallel::plan_shards(cspec, cpartial)?;
-            cones = shards.len();
-            if !shards.is_empty() {
-                // Per-cone keys: the shard subcircuits hashed with the same
-                // structural hash family as full instances.
-                let keys: Vec<(u64, u64)> = shards
-                    .iter()
-                    .map(|sh| {
-                        let h = ledger::instance_hash(&sh.spec, &sh.partial);
-                        let a = ledger::instance_hash_alt(&sh.spec, &sh.partial);
-                        (combine(h, shash_a), combine(a, shash_a))
-                    })
-                    .collect();
-                let mut reports: Vec<Option<LadderReport>> = vec![None; shards.len()];
-                if use_cache {
-                    let mut cache = self.cache.lock().expect("cache lock poisoned");
-                    for (i, &(key, alt)) in keys.iter().enumerate() {
-                        reports[i] = cache.get_cone(key, alt);
-                    }
-                }
-                for (i, shard) in shards.iter().enumerate() {
-                    let reused = reports[i].is_some();
-                    let cone_span = s.tracer.span("service.cone");
-                    cone_span.set_attr("cone", i);
-                    cone_span.set_attr("outputs", shard.output_positions.len());
-                    cone_span.set_attr("reused", reused);
-                    if reused {
-                        cones_reused += 1;
-                        continue;
-                    }
-                    let ladder = CheckLadder {
-                        settings: s.clone(),
-                        stages: phase_a.clone(),
-                        sat_refinement_budget: self.config.sat_refinement_budget,
-                    };
-                    let report = ladder.run(&shard.spec, &shard.partial)?;
-                    fresh_steps += report.stages.iter().map(stage_steps).sum::<u64>();
-                    if use_cache && !report.stages.iter().any(StageResult::is_budget_exceeded) {
-                        self.cache.lock().expect("cache lock poisoned").put_cone(
-                            keys[i].0,
-                            keys[i].1,
-                            report.clone(),
-                        );
-                    }
-                    reports[i] = Some(report);
-                }
-                let reports: Vec<LadderReport> =
-                    reports.into_iter().map(|r| r.expect("every shard planned")).collect();
-                error_found = parallel::merge_shard_reports(
-                    cspec,
-                    cpartial,
-                    &shards,
-                    &reports,
-                    &phase_a,
-                    &mut stages,
-                )?;
+        let (report, fresh) = checker.run_reusing(spec, partial, |i, shard| {
+            let h = ledger::instance_hash(&shard.spec, &shard.partial);
+            let a = ledger::instance_hash_alt(&shard.spec, &shard.partial);
+            let (key, alt) = (combine(h, shash_a), combine(a, shash_a));
+            keys.push((key, alt));
+            let hit = use_cache
+                .then(|| self.cache.lock().expect("cache lock poisoned").get_cone(key, alt))
+                .flatten();
+            let cone_span = s.tracer.span("service.cone");
+            cone_span.set_attr("cone", i);
+            cone_span.set_attr("outputs", shard.output_positions.len());
+            cone_span.set_attr("reused", hit.is_some());
+            cones_reused += usize::from(hit.is_some());
+            hit
+        })?;
+        let cones = keys.len();
+
+        // Fresh BDD work: the cones that ran plus the joint rungs.
+        let steps = |st: &StageResult| st.stats().map_or(0, |x| x.apply_steps);
+        let mut fresh_steps: u64 = report
+            .stages
+            .iter()
+            .filter(|st| !ParallelChecker::is_per_output(st.method()))
+            .map(steps)
+            .sum();
+        for (i, cone) in fresh {
+            fresh_steps += cone.stages.iter().map(steps).sum::<u64>();
+            if use_cache && !cone.stages.iter().any(StageResult::is_budget_exceeded) {
+                let (key, alt) = keys[i];
+                self.cache.lock().expect("cache lock poisoned").put_cone(key, alt, cone);
             }
         }
-        if !error_found && !phase_b.is_empty() {
-            let ladder = CheckLadder {
-                settings: s.clone(),
-                stages: phase_b,
-                sat_refinement_budget: self.config.sat_refinement_budget,
-            };
-            let report = ladder.run(cspec, cpartial)?;
-            fresh_steps += report.stages.iter().map(stage_steps).sum::<u64>();
-            stages.extend(report.stages);
-        }
 
-        let report = LadderReport { stages };
         let budget_exceeded = !report.budget_exceeded().is_empty();
-        let verdict = match report.verdict() {
-            Verdict::ErrorFound => "error_found",
-            Verdict::NoErrorFound => "no_error_found",
-        }
-        .to_string();
+        let verdict = report.verdict().as_str().to_string();
         let method = report.deciding_method().map(|m| m.label().to_string());
         let rungs: Vec<RungRecord> = report.stages.iter().map(RungRecord::from_stage).collect();
         let counterexample = report.counterexample().cloned();
@@ -610,52 +562,21 @@ fn combine(instance: u64, settings: u64) -> u64 {
     (instance ^ settings.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-fn stage_steps(stage: &StageResult) -> u64 {
-    match stage {
-        StageResult::Finished(o) => o.stats.apply_steps,
-        StageResult::BudgetExceeded { stats, .. } => stats.map_or(0, |st| st.apply_steps),
-    }
-}
-
-/// Carves the implementation's undriven signals into black boxes, exactly
-/// like the CLI: every box observes all primary inputs (the sound default
-/// without pin annotations).
-fn carve(implementation: Circuit, boxes: BoxCarve) -> Result<PartialCircuit, String> {
-    let undriven = implementation.undriven_signals();
-    if undriven.is_empty() {
-        return Err(
-            "the implementation has no undriven signals — nothing is black-boxed".to_string()
-        );
-    }
-    let inputs: Vec<SignalId> = implementation.inputs().to_vec();
-    let boxes: Vec<BlackBox> = match boxes {
-        BoxCarve::PerSignal => undriven
-            .iter()
-            .enumerate()
-            .map(|(i, &o)| BlackBox {
-                name: format!("BB{}", i + 1),
-                inputs: inputs.clone(),
-                outputs: vec![o],
-            })
-            .collect(),
-        BoxCarve::One => vec![BlackBox { name: "BB1".to_string(), inputs, outputs: undriven }],
-    };
-    PartialCircuit::new(implementation, boxes)
-        .map_err(|e| format!("invalid partial implementation: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::samples;
 
-    fn quick_service() -> Service {
-        let settings = CheckSettings {
+    fn quick_settings() -> CheckSettings {
+        CheckSettings {
             dynamic_reordering: false,
             random_patterns: 100,
             ..CheckSettings::default()
-        };
-        Service::new(ServiceConfig { settings, ..ServiceConfig::default() })
+        }
+    }
+
+    fn quick_service() -> Service {
+        Service::new(ServiceConfig { settings: quick_settings(), ..ServiceConfig::default() })
     }
 
     #[test]
@@ -675,25 +596,41 @@ mod tests {
         assert!(svc.pool_stats().recycled > 0, "managers must be recycled, not dropped");
     }
 
+    /// A cold served request reports every rung exactly as the parallel
+    /// engine does, budget-exceeded rungs included.
     #[test]
     fn served_verdicts_match_the_parallel_engine() {
-        let svc = quick_service();
-        for (spec, partial) in [
-            samples::completable_pair(),
-            samples::detected_only_by_local(),
-            samples::detected_only_by_input_exact(),
+        // Five steps let 0,1,X finish and cut loc., oe and ie short, so
+        // budget-exceeded rungs of both phases are compared too.
+        let tight = CheckSettings { step_limit: Some(5), ..quick_settings() };
+        let mut aborted = 0;
+        for (settings, (spec, partial)) in [
+            (quick_settings(), samples::completable_pair()),
+            (quick_settings(), samples::detected_only_by_local()),
+            (quick_settings(), samples::detected_only_by_input_exact()),
+            (tight, samples::completable_pair()),
         ] {
+            let svc = Service::new(ServiceConfig { settings, ..ServiceConfig::default() });
             let served = svc.check_instance("x", &spec, &partial, true).unwrap();
+            assert!(!served.cached);
             let reference =
                 ParallelChecker::new(svc.settings().clone(), 1).run(&spec, &partial).unwrap();
-            let want = match reference.verdict() {
-                Verdict::ErrorFound => "error_found",
-                Verdict::NoErrorFound => "no_error_found",
-            };
-            assert_eq!(served.verdict, want);
+            assert_eq!(served.verdict, reference.verdict().as_str());
             assert_eq!(served.counterexample.as_ref(), reference.counterexample());
             assert_eq!(served.method.as_deref(), reference.deciding_method().map(Method::label));
+            // Every rung field but the wall-clock time must agree.
+            let timeless = |r: &RungRecord| RungRecord { wall_ms: 0, ..r.clone() };
+            let want: Vec<RungRecord> =
+                reference.stages.iter().map(RungRecord::from_stage).collect();
+            assert_eq!(
+                served.rungs.iter().map(timeless).collect::<Vec<_>>(),
+                want.iter().map(timeless).collect::<Vec<_>>()
+            );
+            // Nothing was cached, so every rung's steps are fresh work.
+            assert_eq!(served.apply_steps, want.iter().map(|r| r.apply_steps).sum::<u64>());
+            aborted += want.iter().filter(|r| !r.finished).count();
         }
+        assert!(aborted > 0, "the step limit must cut a rung short");
     }
 
     #[test]

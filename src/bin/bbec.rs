@@ -124,7 +124,7 @@
 
 use bbec::core::diagnose::locate_single_gate_repairs;
 use bbec::core::{checks, sat_checks, BlackBox, CheckSettings, PartialCircuit, Verdict};
-use bbec::netlist::{aiger, bench, blif, verilog, Circuit, SignalId};
+use bbec::netlist::{aiger, bench, blif, verilog, Circuit};
 use std::path::Path;
 use std::process::exit;
 
@@ -228,36 +228,21 @@ fn partial_from(
             exit(2)
         });
     }
-    let undriven = implementation.undriven_signals();
-    if undriven.is_empty() {
-        eprintln!(
-            "bbec: the implementation has no undriven signals — nothing is black-boxed; \
-             treating it as a complete design with zero boxes is not supported, \
-             use a classic equivalence checker (or leave some logic out)."
-        );
-        exit(2);
+    match PartialCircuit::carve_undriven(implementation, per_signal) {
+        Ok(Some(partial)) => partial,
+        Ok(None) => {
+            eprintln!(
+                "bbec: the implementation has no undriven signals — nothing is black-boxed; \
+                 treating it as a complete design with zero boxes is not supported, \
+                 use a classic equivalence checker (or leave some logic out)."
+            );
+            exit(2)
+        }
+        Err(e) => {
+            eprintln!("bbec: invalid partial implementation: {e}");
+            exit(2)
+        }
     }
-    // Every box observes all primary inputs by default: without a netlist
-    // annotation for box input pins this is the sound choice (it can only
-    // make the input-exact check more permissive, never unsound).
-    let inputs: Vec<SignalId> = implementation.inputs().to_vec();
-    let boxes: Vec<BlackBox> = if per_signal {
-        undriven
-            .iter()
-            .enumerate()
-            .map(|(i, &o)| BlackBox {
-                name: format!("BB{}", i + 1),
-                inputs: inputs.clone(),
-                outputs: vec![o],
-            })
-            .collect()
-    } else {
-        vec![BlackBox { name: "BB1".to_string(), inputs, outputs: undriven }]
-    };
-    PartialCircuit::new(implementation, boxes).unwrap_or_else(|e| {
-        eprintln!("bbec: invalid partial implementation: {e}");
-        exit(2)
-    })
 }
 
 struct Options {
@@ -817,10 +802,10 @@ fn main() {
             }
         }
         "serve" => {
-            // Sweeping is a per-request opt-in ("sweep":true) in the
-            // service: the structural cache keys pre-sweep instances, and
-            // the default keeps cold/warm golden runs cheap and identical.
-            settings.sweep = false;
+            // `settings.sweep` stays false: sweeping is a per-request
+            // opt-in ("sweep":true) in the service, since the structural
+            // cache keys pre-sweep instances and the default keeps
+            // cold/warm golden runs cheap and identical.
             let config = bbec::core::service::ServiceConfig {
                 settings: settings.clone(),
                 max_jobs: o.max_jobs,

@@ -1,10 +1,10 @@
 //! Integration tests for the extension modules through the public facade:
-//! fault localisation, bounded sequential checking, the check session, the
+//! fault localisation, bounded sequential checking, the exact checks, the
 //! netlist optimiser and BDD forest serialisation working together.
 
 use bbec::core::diagnose::{confirm_region, locate_single_gate_repairs};
 use bbec::core::unroll::{unroll, SequentialCircuit};
-use bbec::core::{checks, CheckSession, CheckSettings, Method, PartialCircuit, Verdict};
+use bbec::core::{checks, CheckSettings, PartialCircuit, Verdict};
 use bbec::netlist::mutate::{Mutation, MutationKind};
 use bbec::netlist::{generators, opt, Circuit};
 
@@ -12,8 +12,8 @@ fn settings() -> CheckSettings {
     CheckSettings { dynamic_reordering: false, random_patterns: 300, ..CheckSettings::default() }
 }
 
-/// Localisation agrees with the session-based checks: confirmed sites pass
-/// the session's input-exact check when boxed, rejected sites fail it.
+/// Localisation agrees with the input-exact check: confirmed sites pass it
+/// when boxed, rejected sites fail it.
 #[test]
 fn diagnosis_and_session_are_consistent() {
     let spec = generators::magnitude_comparator(4);
@@ -27,17 +27,16 @@ fn diagnosis_and_session_are_consistent() {
     let sites = locate_single_gate_repairs(&spec, &faulty, &all, &settings()).unwrap();
     assert!(sites.iter().any(|s| s.gates == vec![bug]));
 
-    let mut session = CheckSession::new(spec.clone(), settings()).unwrap();
     for &g in &all {
         let Ok(partial) = PartialCircuit::black_box_gates(&faulty, &[g]) else {
             continue;
         };
-        let verdict = session.check(&partial, Method::InputExact).unwrap().verdict;
+        let verdict = checks::input_exact(&spec, &partial, &settings()).unwrap().verdict;
         let confirmed = sites.iter().any(|s| s.gates == vec![g]);
         assert_eq!(
             verdict == Verdict::NoErrorFound,
             confirmed,
-            "session and scan disagree on gate {g}"
+            "input-exact and scan disagree on gate {g}"
         );
     }
 }
